@@ -293,27 +293,6 @@ func BenchmarkGateLeakAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkFastTrueLeakage measures the tiled approximate truth against the
-// exact O(n²) at c7552 scale.
-func BenchmarkFastTrueLeakage(b *testing.B) {
-	lib := benchLib(b)
-	est, err := NewEstimator(lib, experiments.ChipProcess())
-	if err != nil {
-		b.Fatal(err)
-	}
-	est.Workers = envWorkers(b)
-	nl, pl, err := ISCASCircuit(lib, "c7552", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := est.FastTrueLeakage(nl, pl, 0.5, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTemperatureSweep regenerates EX3: full-chip leakage statistics
 // across junction temperature, with per-temperature re-characterization.
 func BenchmarkTemperatureSweep(b *testing.B) {
@@ -616,9 +595,9 @@ func BenchmarkChipMCTail(b *testing.B) {
 	b.Run("is", func(b *testing.B) { run(b, isPrimary, isTrials) })
 }
 
-// BenchmarkTruthClassed measures the O(n²) truth with the distance-class
-// kernel tables at the paper's largest Fig. 6 size (106² = 11 236 gates,
-// ~63M pairs): the per-pair kernel chain collapses to an indexed lookup.
+// BenchmarkTruthClassed measures the exact truth at the paper's largest
+// Fig. 6 size (106² = 11 236 gates, ~63M pairs), where the lag-class pair
+// counts come from FFT cross-correlations of the type-indicator images.
 func BenchmarkTruthClassed(b *testing.B) {
 	lib := benchLib(b)
 	est, err := NewEstimator(lib, experiments.ChipProcess())
@@ -664,6 +643,29 @@ func syntheticPlaced(b *testing.B, n int) (*Netlist, *Placement) {
 		b.Fatal(err)
 	}
 	return nl, pl
+}
+
+// BenchmarkTruthMillion measures the exact truth of a 1 000² design (10⁶
+// gates, 8 types, ~5·10¹¹ pairs) from FFT lag counts on the 2048² torus.
+// Reports the run's peak heap bytes alongside the usual figures.
+func BenchmarkTruthMillion(b *testing.B) {
+	lib := benchLib(b)
+	est, err := NewEstimator(lib, experiments.ChipProcess())
+	if err != nil {
+		b.Fatal(err)
+	}
+	est.Workers = envWorkers(b)
+	nl, pl := syntheticPlaced(b, 1000000)
+	telemetry.ResetPeakAlloc()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.TrueLeakage(nl, pl, 0.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	telemetry.SamplePeakAlloc()
+	b.ReportMetric(float64(telemetry.PeakAllocBytes()), "peak-bytes")
 }
 
 // BenchmarkChipMCTiled measures the tiled full-chip Monte Carlo at the

@@ -360,27 +360,6 @@ func (e *Estimator) Breakdown(design Design) (VarianceBreakdown, error) {
 	return m.BreakdownLinear()
 }
 
-// FastTrueLeakage approximates the O(n²) true leakage by spatial tiling
-// (tile edge in µm; 0 selects an automatic fraction of the correlation
-// length). It trades sub-percent σ accuracy for near-linear runtime on
-// large placed designs.
-func (e *Estimator) FastTrueLeakage(nl *Netlist, pl *Placement, signalProb, tile float64) (res Result, err error) {
-	defer lkerr.RecoverInto(&err, "leakest.FastTrueLeakage")
-	design, err := e.ExtractDesign(nl, pl, signalProb)
-	if err != nil {
-		return Result{}, err
-	}
-	m, err := e.model(design)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err = core.FastTrueStats(m, nl, pl, tile)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.finish(res), nil
-}
-
 // Block is one rectangular region of a heterogeneous floorplan, with its
 // own cell population (see EstimateFloorplan).
 type Block = core.Block

@@ -35,7 +35,7 @@ type Result struct {
 	DegradeReason string
 	// Timings is the per-stage wall-clock breakdown of the call that
 	// produced this result (model construction, the estimator itself, and —
-	// for placed designs — extraction and the pair loop), recorded by the
+	// for placed designs — extraction and the truth sum), recorded by the
 	// telemetry layer at the public entry points.
 	Timings []telemetry.StageTiming
 }

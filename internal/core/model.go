@@ -111,8 +111,8 @@ type Model struct {
 	Spec DesignSpec
 	Mode Mode
 	// Workers is the goroutine count for the parallelizable estimator
-	// loops (the O(n²) pair sum and the linear estimator's distance
-	// columns): 0 selects runtime.GOMAXPROCS(0), 1 forces the serial
+	// loops (the truth's per-type lag counts and the linear estimator's
+	// distance columns): 0 selects runtime.GOMAXPROCS(0), 1 forces the serial
 	// path. Results are bitwise identical at any setting — see
 	// internal/parallel for the determinism contract.
 	Workers int

@@ -14,43 +14,36 @@ import (
 )
 
 // TrueStats computes the "true leakage" of a specific placed design: the
-// O(n²) pairwise-covariance sum over all cell instances (Eq. 15), the
-// late-mode baseline the paper validates against. The per-gate statistics
-// are state-weighted at the model's signal probability, and pairwise
+// pairwise-covariance sum over all cell instances (Eq. 15), the late-mode
+// baseline the paper validates against. The per-gate statistics are
+// state-weighted at the model's signal probability, and pairwise
 // covariances follow the model's mode (exact f_{m,n} mapping or the
 // simplified ρ_leak = ρ_L assumption).
 func TrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement) (Result, error) {
 	return TrueStatsCtx(context.Background(), m, nl, pl)
 }
 
-// maxClassTableEntries bounds the total size of the distance-class kernel
-// tables (float64 entries across all type pairs): 2^24 entries are 128 MiB,
-// past which TrueStatsCtx silently keeps the untabulated per-pair loop.
-const maxClassTableEntries = 1 << 24
-
-// TrueStatsCtx is TrueStats with cancellation: the O(n²) pair loop checks
-// ctx once per outer row — where it also reports progress — so a cancel
-// lands within one row's work.
+// TrueStatsCtx is TrueStats with cancellation: it checks ctx — and reports
+// progress — once per output lag row of each type pair, so a cancel lands
+// within one row's work (or one forward/inverse transform pair's).
 //
-// When the placement grid has far fewer (|Δrow|, |Δcol|) lag classes than
-// gate pairs — the usual case — the per-pair kernel work (distance, total
-// correlation, spline evaluation) is precomputed once per class and type
-// pair, turning the O(n²) inner loop into an indexed table lookup. The
-// per-pair accumulation order is unchanged, and at the default power-of-two
-// site pitch the class distances are bitwise equal to the per-pair
-// distances, so the tabulated sum is bitwise identical to the historical
-// loop (guarded by tests and the conformance ULP identities).
+// A pair's covariance depends only on its two types and its lag class
+// (|Δrow|, |Δcol|), so Eq. 15 is evaluated exactly as
+// Σ_{a≤b} Σ_class N_ab(class)·C_ab(class), with N_ab the integer number of
+// gate pairs of types a and b in that class (Eq. 17's n_ij generalized to
+// arbitrary placements). The counts come from FFT cross-correlations of
+// type-indicator images, or from direct enumeration when the design has
+// fewer gate pairs than the transforms cost; both yield the same integers.
+// Each type pair is summed in class order by one worker and the pairs are
+// merged in fixed order, so the result is bitwise identical at any worker
+// count.
 func TrueStatsCtx(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement.Placement) (Result, error) {
-	n := len(nl.Gates)
-	classes := int64(pl.Grid.Rows) * int64(pl.Grid.Cols)
-	pairs := int64(n) * int64(n-1) / 2
-	useTables := classes <= pairs/4 && classes <= maxClassTableEntries
-	return trueStats(ctx, m, nl, pl, useTables)
+	return trueStats(ctx, m, nl, pl, nil)
 }
 
-// trueStats is TrueStatsCtx with the class-table decision explicit, so the
-// equivalence of the two inner loops is directly testable.
-func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement.Placement, useTables bool) (Result, error) {
+// trueStats is TrueStatsCtx with the producer choice explicit (useFFT nil
+// picks by cost), so the two producers are directly comparable in tests.
+func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement.Placement, useFFT *bool) (Result, error) {
 	const op = "core.TrueStats"
 	defer telemetry.StartSpan(ctx, "core.truth")()
 	n := len(nl.Gates)
@@ -64,42 +57,29 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 
 	// Index the gate types and pre-build the pairwise covariance splines.
 	types := nl.SortedTypes()
-	tIdx := make(map[string]int, len(types))
+	nt := len(types)
+	tIdx := make(map[string]int, nt)
 	for i, t := range types {
 		tIdx[t] = i
 	}
-	pairSpl := make([][]*quad.Spline, len(types))
-	for i := range pairSpl {
-		pairSpl[i] = make([]*quad.Spline, len(types))
-	}
+	pairSpl := make([][]*quad.Spline, nt)
 	for i, a := range types {
 		if err := lkerr.FromContext(ctx, op); err != nil {
 			return Result{}, err
 		}
-		for j := i; j < len(types); j++ {
-			b := types[j]
+		pairSpl[i] = make([]*quad.Spline, nt)
+		for j := i; j < nt; j++ {
 			// Warm the model cache, then grab the spline directly.
-			if _, err := m.PairCovAtCorr(a, b, 0.5); err != nil {
+			if _, err := m.PairCovAtCorr(a, types[j], 0.5); err != nil {
 				return Result{}, err
 			}
-			key := [2]string{a, b}
-			if b < a {
-				key = [2]string{b, a}
-			}
-			sp := m.pairCache[key]
-			pairSpl[i][j] = sp
-			pairSpl[j][i] = sp
+			pairSpl[i][j] = m.pairCache[[2]string{a, types[j]}]
 		}
 	}
 
-	// Per-gate effective stats and positions.
-	mean := 0.0
-	variance := 0.0
+	// Per-gate effective stats.
+	mean, variance := 0.0, 0.0
 	gt := make([]int, n)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	rs := make([]int, n)
-	cs := make([]int, n)
 	for g, gate := range nl.Gates {
 		mu, sigma, err := m.CellStats(gate.Type)
 		if err != nil {
@@ -108,134 +88,81 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 		mean += mu
 		variance += sigma * sigma
 		gt[g] = tIdx[gate.Type]
-		xs[g], ys[g] = pl.Pos(g)
-		rs[g], cs[g] = pl.RowCol(g)
 	}
 
-	// Distance-class kernel tables: one cov value per (type pair, lag
-	// class), replacing the per-pair Hypot/TotalCorr/spline-eval chain with
-	// an indexed load.
-	var classTabs [][][]float64
-	if useTables {
-		nt := int64(len(types)) * int64(len(types)+1) / 2
-		if int64(pl.Grid.Rows)*int64(pl.Grid.Cols)*nt > maxClassTableEntries {
-			useTables = false
+	// Total correlation per lag class, clamped to at most 1; classes with
+	// non-positive ρ contribute nothing.
+	grid := pl.Grid
+	rhos := make([]float64, grid.Rows*grid.Cols)
+	for dr := 0; dr < grid.Rows; dr++ {
+		for dc := 0; dc < grid.Cols; dc++ {
+			rhos[dr*grid.Cols+dc] = min(m.Proc.TotalCorr(grid.LagDist(dr, dc)), 1)
 		}
 	}
-	if useTables {
-		endPre := telemetry.StartSpan(ctx, "truth.class_precompute")
-		classTabs = buildClassTables(m, pl.Grid, pairSpl)
-		endPre()
+
+	plan := newLagPlan(grid, pl, gt, nt)
+	pairs := int64(n) * int64(n-1) / 2
+	fftPath := plan.fftCost(nt) < float64(pairs)
+	if useFFT != nil {
+		fftPath = *useFFT
 	}
 
-	// Pairwise covariances (Eq. 15's off-diagonal part). The upper
-	// triangle is sharded by row: each row a owns slot rowVar[a] and sums
-	// its b > a pairs left to right exactly as the serial loop did, and
-	// the rows are merged in index order below, so the result is bitwise
-	// identical at any worker count. The splines, class tables, and
-	// per-gate tables are read-only here (the model caches were warmed
-	// above).
-	cols := pl.Grid.Cols
-	rep := telemetry.StartProgress(ctx, "core.truth", int64(n))
+	// Pairwise covariances (Eq. 15's off-diagonal part), one task per row
+	// type a. The task owns pairVar[a][b−a] for every b ≥ a and sums each
+	// in class order; the slots are merged in (a, b) order below.
+	lagRows := int64(nt*(nt+1)/2) * int64(grid.Rows)
+	rep := telemetry.StartProgress(ctx, "core.truth", lagRows)
 	tick := parallel.NewTicker(rep)
-	rowVar := make([]float64, n)
-	err := parallel.ForEach(ctx, op, m.Workers, n, func(_, a int) error {
-		fault.Hit(fault.SiteTruthRow)
-		sum := 0.0
-		if classTabs != nil {
-			ra, ca := rs[a], cs[a]
-			row := classTabs[gt[a]]
-			for b := a + 1; b < n; b++ {
-				dr := ra - rs[b]
-				if dr < 0 {
-					dr = -dr
-				}
-				dc := ca - cs[b]
-				if dc < 0 {
-					dc = -dc
-				}
-				cov := row[gt[b]][dr*cols+dc]
-				if cov > 0 {
-					sum += 2 * cov
-				}
+	pairVar := make([][]float64, nt)
+	for a := range pairVar {
+		pairVar[a] = make([]float64, nt-a)
+	}
+	workers := make([]lagWorker, parallel.Resolve(m.Workers, nt))
+	err := parallel.ForEach(ctx, op, m.Workers, nt, func(w, a int) error {
+		emit := func(b, dr int, counts []int64) error {
+			fault.Hit(fault.SiteTruthRow)
+			if err := lkerr.FromContext(ctx, op); err != nil {
+				return err
 			}
-		} else {
-			xa, ya := xs[a], ys[a]
-			row := pairSpl[gt[a]]
-			for b := a + 1; b < n; b++ {
-				d := math.Hypot(xa-xs[b], ya-ys[b])
-				rho := m.Proc.TotalCorr(d)
-				if rho <= 0 {
+			sp, rho := pairSpl[a][b], rhos[dr*grid.Cols:(dr+1)*grid.Cols]
+			sum := pairVar[a][b-a]
+			for dc, k := range counts {
+				if k == 0 || rho[dc] <= 0 {
 					continue
 				}
-				if rho > 1 {
-					rho = 1
-				}
-				cov := row[gt[b]].Eval(rho)
-				if cov > 0 {
-					sum += 2 * cov
+				if cov := sp.Eval(rho[dc]); cov > 0 {
+					sum += float64(k) * cov
 				}
 			}
+			pairVar[a][b-a] = sum
+			tick.Tick()
+			return nil
 		}
-		rowVar[a] = sum
-		tick.Tick()
-		return nil
+		if fftPath {
+			return workers[w].fftRow(plan, a, nt, emit)
+		}
+		return workers[w].directRow(plan, a, nt, emit)
 	})
 	if err != nil {
 		rep.Done(tick.Count())
 		return Result{}, err
 	}
-	for _, v := range rowVar {
-		variance += v
+	// Off-diagonal counts are unordered gate pairs, each contributing 2·cov;
+	// the diagonal counts both orders already.
+	for _, row := range pairVar {
+		variance += row[0]
+		for _, v := range row[1:] {
+			variance += 2 * v
+		}
 	}
-	rep.Done(int64(n))
-	telemetry.Add("truth_pairs_total", int64(n)*int64(n-1)/2)
+	rep.Done(lagRows)
+	telemetry.Add("truth_pairs_total", pairs)
 	variance = fault.Corrupt(fault.SiteTruthRow, variance)
 	return Result{
 		Mean:   mean,
 		Std:    math.Sqrt(variance),
 		Method: "true-n2",
 	}.checkFinite(op)
-}
-
-// buildClassTables precomputes, for every (|Δrow|, |Δcol|) lag class of the
-// grid and every type pair, the pairwise leakage covariance the inner loop
-// would otherwise derive per pair: ρ = TotalCorr(LagDist), clamped to at
-// most 1, then the pair spline at ρ. Classes with non-positive ρ keep a
-// zero entry, which the accumulation skips exactly like the historical
-// `continue`. The shared ρ values are computed once per class; each
-// unordered type pair shares one table.
-func buildClassTables(m *Model, grid placement.Grid, pairSpl [][]*quad.Spline) [][][]float64 {
-	nc := grid.Rows * grid.Cols
-	rhos := make([]float64, nc)
-	for dr := 0; dr < grid.Rows; dr++ {
-		for dc := 0; dc < grid.Cols; dc++ {
-			rho := m.Proc.TotalCorr(grid.LagDist(dr, dc))
-			if rho > 1 {
-				rho = 1
-			}
-			rhos[dr*grid.Cols+dc] = rho
-		}
-	}
-	nt := len(pairSpl)
-	tabs := make([][][]float64, nt)
-	for i := range tabs {
-		tabs[i] = make([][]float64, nt)
-	}
-	for i := 0; i < nt; i++ {
-		for j := i; j < nt; j++ {
-			sp := pairSpl[i][j]
-			tab := make([]float64, nc)
-			for k, rho := range rhos {
-				if rho > 0 {
-					tab[k] = sp.Eval(rho)
-				}
-			}
-			tabs[i][j] = tab
-			tabs[j][i] = tab
-		}
-	}
-	return tabs
 }
 
 // ExtractSpec derives the high-level design characteristics (Fig. 1) from a

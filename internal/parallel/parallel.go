@@ -1,7 +1,8 @@
 // Package parallel is the deterministic worker pool behind the pipeline's
 // four long loops: chip-level Monte-Carlo trials (chipmc), per-(cell, state)
-// characterization (charlib), the O(n²) pair-sum rows (core.TrueStats), and
-// the linear estimator's distance-vector columns (core.EstimateLinear).
+// characterization (charlib), the per-type lag-count rows of the exact
+// truth (core.TrueStats), and the linear estimator's distance-vector
+// columns (core.EstimateLinear).
 //
 // The pool trades no reproducibility for speed. Its determinism contract:
 //

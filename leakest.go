@@ -181,11 +181,11 @@ type Estimator struct {
 	// factor (§2.1); the variance is unaffected, as the paper argues and
 	// the Vt-ablation experiment confirms.
 	ApplyVtMean bool
-	// Workers is the goroutine count for the long loops (the O(n²) pair
-	// sum, the linear estimator's distance columns, and the full-chip
-	// Monte Carlo): 0 selects runtime.GOMAXPROCS(0), 1 forces the serial
-	// path. Every result is bitwise identical at any setting — see the
-	// determinism contract in internal/parallel.
+	// Workers is the goroutine count for the long loops (the exact truth's
+	// per-type lag counts, the linear estimator's distance columns, and
+	// the full-chip Monte Carlo): 0 selects runtime.GOMAXPROCS(0), 1 forces
+	// the serial path. Every result is bitwise identical at any setting —
+	// see the determinism contract in internal/parallel.
 	Workers int
 	// Sampler selects the Monte-Carlo field construction: SamplerAuto
 	// (default) routes small designs to the dense-Cholesky reference and
@@ -393,10 +393,10 @@ func (e *Estimator) TrueLeakage(nl *Netlist, pl *Placement, signalProb float64) 
 }
 
 // TrueLeakageContext is TrueLeakage with cancellation and telemetry: the
-// O(n²) pair loop checks ctx once per row — reporting progress there — so a
-// cancel stops the computation within one row's work and returns a typed
-// Canceled / DeadlineExceeded error. The Result carries the
-// extraction/model/pair-loop timing breakdown.
+// pair sum checks ctx once per output lag row of each type pair —
+// reporting progress there — so a cancel stops the computation within one
+// row's work and returns a typed Canceled / DeadlineExceeded error. The
+// Result carries the extraction/model/truth timing breakdown.
 func (e *Estimator) TrueLeakageContext(ctx context.Context, nl *Netlist, pl *Placement, signalProb float64) (res Result, err error) {
 	defer lkerr.RecoverInto(&err, "leakest.TrueLeakage")
 	ctx, tr := telemetry.EnsureTrace(ctx)

@@ -375,46 +375,6 @@ func TestDistributionAndBreakdownFacade(t *testing.T) {
 	}
 }
 
-func TestFastTrueLeakageFacade(t *testing.T) {
-	est := coreEstimator(t)
-	nl, err := RandomCircuit(est.Library(), 31, "fast", 300, 16, coreHist(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := AutoPlace(nl, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := est.TrueLeakage(nl, pl, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := est.FastTrueLeakage(nl, pl, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Mean != exact.Mean {
-		t.Errorf("means differ: %g vs %g", fast.Mean, exact.Mean)
-	}
-	if e := math.Abs(fast.Std-exact.Std) / exact.Std; e > 0.01 {
-		t.Errorf("tiled σ off by %.3f%%", 100*e)
-	}
-	// Vt mean factor path: both apply it consistently.
-	est.ApplyVtMean = true
-	f1, err := est.TrueLeakage(nl, pl, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := est.FastTrueLeakage(nl, pl, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f1.Mean-f2.Mean)/f1.Mean > 1e-12 {
-		t.Errorf("Vt factor applied inconsistently")
-	}
-	est.ApplyVtMean = false
-}
-
 func TestSetMode(t *testing.T) {
 	est := coreEstimator(t)
 	design := Design{Hist: coreHist(t), N: 400, W: 40, H: 40, SignalProb: 0.5}

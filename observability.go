@@ -24,8 +24,8 @@ import (
 //	ctx = leakest.WithProgress(ctx, fn)      // per-call progress reports
 type (
 	// Progress is one rate-limited progress report from a long-running
-	// pipeline loop (characterization, the linear estimator, the O(n²)
-	// pair loop, or the chip Monte-Carlo trials).
+	// pipeline loop (characterization, the linear estimator, the truth's
+	// lag rows, or the chip Monte-Carlo trials).
 	Progress = telemetry.Progress
 	// ProgressFunc receives progress reports. It runs on the estimation
 	// goroutine, so it must be fast and must not block.

@@ -94,9 +94,12 @@ func TestProgressFromTruthAndMonteCarlo(t *testing.T) {
 	if _, err := est.TrueLeakageContext(rec.ctx(), nl, pl, 0.5); err != nil {
 		t.Fatal(err)
 	}
+	// One progress unit per output lag row of each type pair.
+	types := int64(len(nl.SortedTypes()))
+	rows := types * (types + 1) / 2 * int64(pl.Grid.Rows)
 	final := rec.finalFor(t, "core.truth")
-	if final.Done != final.Total || final.Total != int64(len(nl.Gates)) {
-		t.Errorf("truth final report %+v, want total %d", final, len(nl.Gates))
+	if final.Done != final.Total || final.Total != rows {
+		t.Errorf("truth final report %+v, want total %d", final, rows)
 	}
 
 	rec = progressRecorder{}
