@@ -59,12 +59,12 @@ tail-conformance:
 	$(GO) test -race ./internal/conformance/ -run 'TestTail'
 
 # tiled-conformance is the race-enabled gate for the §16 tiled pipeline,
-# bottom-up: the tile-partition and lag-count layers, the exact tiled
-# estimators, the per-tile Monte-Carlo runner (determinism, scratch reuse,
-# alloc pins), the streaming netlist reader (including its fuzz seed
-# corpus), then the statistical suite — bitwise tiled-vs-monolithic at
-# several tile counts, tile-count and worker invariance, the quadrature
-# envelope, the tiled MC law vs its serial pairwise reference, the
+# bottom-up: the tile-partition and lag-count layers, the per-tile
+# statistics, the tiled Monte-Carlo field source (determinism, scratch
+# reuse, alloc pins), the streaming netlist reader (including its fuzz seed
+# corpus), then the statistical suite — tile breakdowns leave the moments
+# bitwise unchanged at several tile counts, tile-count and worker
+# invariance, the tiled MC law vs its serial pairwise reference, the
 # streaming round trip, and the mutation self-check — first under the race
 # detector, then via `leakest verify -tiled` at two worker counts (the
 # reports must be identical; the second run writes the JSON artifact CI
@@ -75,7 +75,7 @@ tiled-conformance:
 	$(GO) test -race ./internal/chipmc/ -run 'Tiled'
 	$(GO) test -race ./internal/netlist/ -run 'Stream|ScanPlaced'
 	$(GO) test -race ./internal/conformance/ -run 'Tiled'
-	$(GO) test -race . -run 'TestEstimatorTiles|TestEstimateStream|TestMonteCarloTiles'
+	$(GO) test -race . -run 'TestEstimatorTiles|TestEstimatorAutoTilesKeepsMethod|TestEstimateStream|TestMonteCarloTiles'
 	$(GO) run ./cmd/leakest verify -tiled -workers 1
 	$(GO) run ./cmd/leakest verify -tiled -workers 4 -json TILED_CONFORMANCE_leakest.json
 
@@ -88,12 +88,13 @@ server-smoke:
 
 # tracecheck pins the tracing layer's zero-overhead contract: with no trace,
 # no registry and no logger attached, every instrumentation hook — and the
-# chipmc trial loop they sit on — must be allocation-free. The AllocsPerRun
-# tests fail on any regression, so this is the cheap CI gate for changes that
-# touch the disabled telemetry path.
+# chipmc trial loop they sit on, on every field source and the batched qmc
+# grid body — must be allocation-free. The AllocsPerRun tests fail on any
+# regression, so this is the cheap CI gate for changes that touch the
+# disabled telemetry path.
 tracecheck:
 	$(GO) test ./internal/telemetry/ -run 'TestDisabledTracingAllocFree|TestSpanNoopWhenAllSinksOff'
-	$(GO) test ./internal/chipmc/ -run 'TestTrialBodyAllocs|TestQMCTrialBodyAllocs|TestTiledTrialBodyAllocs'
+	$(GO) test ./internal/chipmc/ -run 'TrialBodyAllocs'
 	$(GO) test ./internal/randvar/ -run TestSobolAllocs
 
 # A short fuzz pass over the .bench parser; CI runs the seed corpus via
@@ -103,9 +104,12 @@ fuzz:
 
 # race-parallel is a focused race-detector pass over the deterministic
 # worker pool and its four call sites (the full `race` target covers them
-# too; this one is the fast CI job for parallel-path changes).
+# too; this one is the fast CI job for parallel-path changes). The chipmc
+# route freeze replays every Monte-Carlo trial route at 1 and 4 workers
+# against its recorded totals.
 race-parallel:
 	$(GO) test -race ./internal/parallel/ ./internal/core/ -run 'Parallel|Sharding|ForEach|Ticker|LagCountTruthWorker'
+	$(GO) test -race ./internal/chipmc/ -run 'TestRouteStreamsFrozen'
 	$(GO) test -race . -run 'TestDeterminism|TestParallel|TestWorkersField'
 
 # bench runs every paper benchmark once and leaves a machine-readable

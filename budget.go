@@ -150,12 +150,11 @@ func (e *Estimator) EstimateBudgeted(ctx context.Context, design Design, budget 
 		reasons = append(reasons, why)
 	} else {
 		rctx, cancel := budget.rungCtx(ctx)
-		if e.Tiles > 1 {
-			// Bitwise-identical to the monolithic linear rung (§16), so the
-			// ladder semantics are unchanged; the result gains TileStats.
-			res, err = m.EstimateTiledCtx(rctx, e.Tiles, nil)
-		} else {
-			res, err = m.EstimateLinearCtx(rctx)
+		res, err = m.EstimateLinearCtx(rctx)
+		if err == nil && e.Tiles > 1 {
+			// The breakdown rides on the linear rung only, so the ladder
+			// semantics are unchanged.
+			res.TileStats, err = m.TileStatsCtx(rctx, e.Tiles, nil)
 		}
 		cancel()
 		if err == nil {

@@ -196,7 +196,7 @@ func main() {
 	truth := flag.Bool("truth", false, "late mode: also compute the O(n²) true leakage for comparison")
 	mc := flag.Int("mc", 0, "late mode: also run a full-chip Monte Carlo with this many samples")
 	samplerFlag := flag.String("sampler", "auto", "Monte-Carlo field sampler: auto|dense|fft|qmc")
-	tiles := flag.Int("tiles", 0, "partition the die T×T and estimate per-tile with exact inter-tile combination (linear/auto/integral methods); 0 or 1 = monolithic")
+	tiles := flag.Int("tiles", 0, "partition the die T×T and report per-tile linear moments alongside any method (the chip moments do not change); with -mc, sample the field per tile; 0 or 1 = monolithic")
 	streamPath := flag.String("stream", "", "streaming mode: one-pass estimate of a leakest-stream v1 file (die size and tiling come from its header)")
 	batch := flag.Int("batch", 0, "with -sampler qmc: trial fields per batched FFT pass; 0 = default")
 	spec := flag.Float64("spec", 0, "with -mc: leakage spec in A; report P[I_leak > spec] (yield at spec)")
@@ -411,7 +411,7 @@ func main() {
 		fmt.Printf(" (%s)", res.Note)
 	}
 	if len(res.TileStats) > 0 {
-		fmt.Printf("\ntiles: %d (exact inter-tile combination)", len(res.TileStats))
+		fmt.Printf("\ntiles: %d (per-tile breakdown)", len(res.TileStats))
 	}
 	if res.Degraded {
 		fmt.Printf("\ndegraded: %s", res.DegradeReason)

@@ -109,13 +109,11 @@ func WriteSyntheticStream(w io.Writer, name string, rows, cols int, siteW, siteH
 // netlist without materializing it. One pass over the stream accumulates the
 // cell-usage histogram, the gate count, and the per-tile gate populations —
 // peak memory is O(cell types) + O(tiles²) + O(scan buffer), independent of
-// the gate count — then the tiled linear estimator of DESIGN.md §16 combines
-// per-tile moments exactly through the inter-tile covariance. The global
-// moments are bitwise identical to the monolithic linear estimator fed the
-// same (histogram, N, W, H); Result.TileStats carries the per-tile picture
-// using the stream's actual per-tile populations when the model partition
-// matches the stream's (it does whenever the header's tiles fit both grid
-// dimensions).
+// the gate count — then the linear estimator answers from (histogram, N, W,
+// H), exactly as it would for the in-memory design. Result.TileStats carries
+// the per-tile picture (DESIGN.md §16), using the stream's actual per-tile
+// populations when the model partition matches the stream's (it does
+// whenever the header's tiles fit both grid dimensions).
 func (e *Estimator) EstimateStream(ctx context.Context, r io.Reader, signalProb float64) (res Result, err error) {
 	defer lkerr.RecoverInto(&err, "leakest.EstimateStream")
 	ctx, tr := telemetry.EnsureTrace(ctx)
@@ -204,8 +202,11 @@ func (e *Estimator) EstimateStream(ctx context.Context, r io.Reader, signalProb 
 	if len(counts) != m.TiledPartitionLen(hdr.Tiles) {
 		counts = nil
 	}
-	res, err = m.EstimateTiledCtx(ctx, hdr.Tiles, counts)
+	res, err = m.EstimateLinearCtx(ctx)
 	if err != nil {
+		return Result{}, err
+	}
+	if res.TileStats, err = m.TileStatsCtx(ctx, hdr.Tiles, counts); err != nil {
 		return Result{}, err
 	}
 	telemetry.SamplePeakAlloc()

@@ -7,16 +7,20 @@
 // distribution. It validates the O(n²) "true leakage" analytics beyond the
 // paper's own validation and powers the Vt-ablation experiment.
 //
-// Two field samplers are available. The dense path factorizes the full n×n
-// covariance (O(n³) setup, O(n²) per trial) and is the historical,
-// bitwise-frozen reference. The FFT path exploits the regular placement
+// Every trial but the batched qmc grid body (qmc.go) runs through one
+// engine (trialRunner): a field source fills the per-gate channel lengths,
+// then chipTotal draws each gate's state and Vt factor and sums the
+// leakage. The dense source factorizes the full n×n covariance (O(n³)
+// setup, O(n²) per trial) and is the historical, bitwise-frozen reference. The grid source exploits the regular placement
 // grid: the stationary WID kernel is circulant-embedded on a torus
 // (randvar.GridSampler), so setup is one 2-D FFT and each trial costs
 // O(S log S) in the torus size S — raising the practical gate budget from
 // thousands to hundreds of thousands while sampling the same covariance at
 // every grid lag (exactly when the embedding torus affords the kernel's
 // support, within a hard-capped clamp bias otherwise; see
-// randvar.GridSampler).
+// randvar.GridSampler). The tiled source (tiled.go) samples per tile, and
+// the split dense source is the importance-sampled tail's proposal
+// (tail.go).
 package chipmc
 
 import (
@@ -215,76 +219,188 @@ type gateState struct {
 const nvt = 1.4 * 0.0259
 
 // trialBuf is one worker's private trial state: a reusable PRNG (reseeded
-// per trial from the run's Stream, which reproduces the historical
-// per-trial streams bitwise with zero allocations) plus the sampling
-// scratch of whichever field path is active.
+// per trial from the source's streams, which reproduces the historical
+// per-trial streams bitwise with zero allocations), the per-gate channel
+// lengths, and the scratch of whichever field source is active.
 type trialBuf struct {
-	rng   *rand.Rand
-	ls    []float64 // per-gate channel lengths
-	z     []float64 // dense-path standard-normal scratch
-	field []float64 // FFT-path per-site field
-	sc    *randvar.GridScratch
+	rng    *rand.Rand
+	ls     []float64              // per-gate channel lengths
+	z      []float64              // dense sources: standard-normal scratch
+	fields [][]float64            // grid sources: one per-site field per sampler
+	scs    []*randvar.GridScratch // grid sources: one FFT scratch per sampler
 }
 
-// trialRunner holds everything a chip-level trial needs, set up once per
-// run: gate state tables, the field sampler (exactly one of dense/grid is
-// non-nil), the frozen RNG stream prefix, and per-worker buffers.
-type trialRunner struct {
-	gates  []gateState
+// warmGrids allocates one field and FFT scratch per grid sampler.
+func (b *trialBuf) warmGrids(samplers []*randvar.GridSampler) {
+	b.fields = make([][]float64, len(samplers))
+	b.scs = make([]*randvar.GridScratch, len(samplers))
+	for i, gs := range samplers {
+		b.fields[i] = make([]float64, gs.Sites())
+		b.scs[i] = gs.NewScratch()
+	}
+}
+
+// fieldSource draws the channel-length field of one trial. fill seeds the
+// worker RNG from the source's own streams, writes every gate's channel
+// length into b.ls with the shared D2D deviate tilted by θ, returns the raw
+// deviate z₀ (the importance weight's argument), and leaves the RNG
+// positioned for chipTotal's per-gate state and Vt draws. Only sources
+// that draw z₀ separately (split, grid, tiled) can be tilted; the joint
+// dense source refuses θ ≠ 0. Each source's draw order is part of the
+// bitwise determinism contract. warm allocates the source's scratch in a
+// fresh buffer whose ls is already sized.
+type fieldSource interface {
+	warm(b *trialBuf)
+	fill(b *trialBuf, trial int, tilt float64) (z0 float64, err error)
+}
+
+// denseSource is the joint dense-Cholesky field, Σ = σ_D2D²·11ᵀ + σ_WID²·R:
+// the primary dense path, and the small-design qmc path when seq is set
+// (the first qdims normals then come from the trial's Sobol point). Its
+// D2D deviate is folded into the factor, so it cannot be tilted: fill
+// refuses θ ≠ 0, and z₀ is reported as 0.
+type denseSource struct {
+	mvn    *randvar.MVNSampler
+	stream stats.Stream
+	seq    *randvar.SobolSeq
+	qdims  int
+}
+
+func (s *denseSource) warm(b *trialBuf) { b.z = make([]float64, len(b.ls)) }
+
+func (s *denseSource) fill(b *trialBuf, trial int, tilt float64) (float64, error) {
+	if tilt != 0 {
+		return 0, lkerr.New(lkerr.InvalidInput, "chipmc.Run",
+			"the joint dense field cannot be tilted (θ = %g)", tilt)
+	}
+	b.rng.Seed(s.stream.SeedFor(trial))
+	if s.seq != nil {
+		s.seq.NormalsInto(uint32(trial), b.z[:s.qdims])
+	}
+	s.mvn.SamplePartialInto(b.rng, b.z, b.ls, s.qdims)
+	return 0, nil
+}
+
+// splitSource is the dense field drawn as its two components — L_g = L_nom
+// + σ_D2D·(z₀+θ) + wid_g with wid ~ N(0, σ_WID²·R) — the tail's dense
+// proposal. At θ = 0 it samples exactly the joint law of denseSource, since
+// the D2D component is a rank-one common term. wid is nil when σ_WID = 0.
+type splitSource struct {
+	wid        *randvar.MVNSampler
+	lnom, sd2d float64
+	stream     stats.Stream
+}
+
+func (s *splitSource) warm(b *trialBuf) {
+	if s.wid != nil {
+		b.z = make([]float64, len(b.ls))
+	}
+}
+
+func (s *splitSource) fill(b *trialBuf, trial int, tilt float64) (float64, error) {
+	b.rng.Seed(s.stream.SeedFor(trial))
+	z0 := b.rng.NormFloat64()
+	shift := s.lnom + s.sd2d*(z0+tilt)
+	if s.wid == nil {
+		for g := range b.ls {
+			b.ls[g] = shift
+		}
+		return z0, nil
+	}
+	s.wid.SampleInto(b.rng, b.z, b.ls)
+	for g := range b.ls {
+		b.ls[g] += shift
+	}
+	return z0, nil
+}
+
+// gridSource is the circulant-embedding field on the placement grid, read
+// out at each gate's site. SampleTiltedInto at θ = 0 is bitwise SampleInto.
+type gridSource struct {
+	gs     *randvar.GridSampler
 	sites  []int
 	stream stats.Stream
-	dense  *randvar.MVNSampler
-	grid   *randvar.GridSampler
+}
+
+func (s *gridSource) warm(b *trialBuf) { b.warmGrids([]*randvar.GridSampler{s.gs}) }
+
+func (s *gridSource) fill(b *trialBuf, trial int, tilt float64) (float64, error) {
+	b.rng.Seed(s.stream.SeedFor(trial))
+	field := b.fields[0]
+	z0, err := s.gs.SampleTiltedInto(b.rng, b.scs[0], field, tilt)
+	if err != nil {
+		return 0, err
+	}
+	for g, site := range s.sites {
+		b.ls[g] = field[site]
+	}
+	return z0, nil
+}
+
+// trialRunner is the one trial engine: the gate tables, the field source,
+// and per-worker buffers. The primary trials and the importance-sampled
+// tail trials both run through it; they differ only in the source's
+// streams, the tilt, and what the caller does with z₀.
+type trialRunner struct {
+	gates []gateState
+	src   fieldSource
 	// sigmaVt is the Vt-fluctuation sigma when the ablation is enabled, 0
 	// otherwise.
 	sigmaVt float64
 	bufs    []trialBuf
 }
 
-// warm allocates a worker's buffers on its first trial; everything after is
-// allocation-free (guarded by TestTrialBodyAllocs).
-func (r *trialRunner) warm(b *trialBuf) {
-	n := len(r.gates)
-	b.rng = rand.New(rand.NewSource(1))
-	b.ls = make([]float64, n)
-	if r.dense != nil {
-		b.z = make([]float64, n)
-	} else {
-		b.field = make([]float64, r.grid.Sites())
-		b.sc = r.grid.NewScratch()
-	}
-}
-
-// runTrial executes one chip-level trial on worker w and returns the chip
-// total. The draw order — field normals first, then per-gate state and Vt
-// draws — is part of the determinism contract and matches the historical
-// implementation exactly on the dense path.
-func (r *trialRunner) runTrial(w, trial int) (float64, error) {
+// runTrial executes one chip-level trial on worker w at tilt θ, returning
+// the chip total and the raw D2D deviate. A worker's buffers are allocated
+// on its first trial; everything after is allocation-free (guarded by
+// TestTrialBodyAllocs).
+func (r *trialRunner) runTrial(w, trial int, tilt float64) (total, z0 float64, err error) {
 	b := &r.bufs[w]
 	if b.rng == nil {
-		r.warm(b)
+		b.rng = rand.New(rand.NewSource(1))
+		b.ls = make([]float64, len(r.gates))
+		r.src.warm(b)
 	}
-	rng := b.rng
-	rng.Seed(r.stream.SeedFor(trial))
-	ls := b.ls
-	if r.dense != nil {
-		r.dense.SampleInto(rng, b.z, ls)
-	} else {
-		if err := r.grid.SampleInto(rng, b.sc, b.field); err != nil {
-			return 0, err
-		}
-		for g, s := range r.sites {
-			ls[g] = b.field[s]
-		}
+	if z0, err = r.src.fill(b, trial, tilt); err != nil {
+		return 0, 0, err
 	}
-	return chipTotal(r.gates, rng, ls, r.sigmaVt), nil
+	return chipTotal(r.gates, b.rng, b.ls, r.sigmaVt), z0, nil
+}
+
+// fanOut runs trials [0, len(totals)) at tilt θ over the worker pool,
+// storing each chip total in its trial slot, and each raw D2D deviate in
+// z0s when it is non-nil (the tail pass). Every trial draws from its own
+// streams keyed by (Seed, trial), so the slots are bitwise identical at any
+// worker count; workers only race on disjoint slots and their private
+// buffers. The primary pass (z0s nil) is the chipmc/trial fault site and
+// ticks progress.
+func (r *trialRunner) fanOut(ctx context.Context, op string, workers int, tilt float64,
+	totals, z0s []float64, count *telemetry.Counter, tick *parallel.Ticker) error {
+	primary := z0s == nil
+	return parallel.ForEach(ctx, op, workers, len(totals), func(w, trial int) error {
+		count.Inc()
+		if primary {
+			fault.Hit(fault.SiteChipMCTrial)
+		}
+		total, z0, err := r.runTrial(w, trial, tilt)
+		if err != nil {
+			return lkerr.Wrap(lkerr.Numerical, op, err)
+		}
+		if primary {
+			total = fault.Corrupt(fault.SiteChipMCTrial, total)
+		} else {
+			z0s[trial] = z0
+		}
+		totals[trial] = total
+		tick.Tick()
+		return nil
+	})
 }
 
 // chipTotal evaluates the chip leakage of one sampled channel-length vector:
 // per-gate input state by inverse-CDF draw, leakage from the characterized
-// curve, optional Vt-fluctuation factor. Shared by the primary trial body
-// and the importance-sampled tail trials; the per-gate draw order is part of
-// the bitwise determinism contract of both.
+// curve, optional Vt-fluctuation factor. Shared by every trial route; the
+// per-gate draw order is part of the bitwise determinism contract.
 func chipTotal(gates []gateState, rng *rand.Rand, ls []float64, sigmaVt float64) float64 {
 	total := 0.0
 	for g := range gates {
@@ -434,80 +550,73 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 	if err != nil {
 		return Result{}, err
 	}
-
-	if cfg.Tiles > 1 {
-		return runTiledContext(ctx, cfg, nl, pl, gates)
-	}
-
-	runner := &trialRunner{gates: gates, stream: stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#")}
+	runner := &trialRunner{gates: gates}
 	if cfg.IncludeVt {
 		runner.sigmaVt = cfg.Proc.SigmaVt
 	}
-	// The qmc sampler rides the grid path on large designs (batched pair
-	// fields) and the dense path on small ones (direct low-discrepancy
-	// deviates), mirroring the auto threshold.
-	wantGrid := use == SamplerFFT || (use == SamplerQMC && n > autoDenseLimit)
-	if wantGrid {
-		endSetup := telemetry.StartSpan(ctx, "chipmc.fft_setup")
-		var gs *randvar.GridSampler
-		var gerr error
-		if cfg.Prebuilt != nil && cfg.Prebuilt.Grid() == pl.Grid {
-			gs = cfg.Prebuilt
-			telemetry.SpanAttrBool(ctx, "chipmc.prebuilt_embedding", true)
-		} else {
-			gs, gerr = randvar.NewGridSamplerContext(ctx, cfg.Proc, pl.Grid)
+	stream := stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#")
+	// grid is the monolithic grid source when one is active: the qmc grid
+	// body and the tail's grid proposal draw from its sampler.
+	var grid *gridSource
+	if cfg.Tiles > 1 {
+		if runner.src, err = newTiledSource(ctx, cfg, nl, pl); err != nil {
+			return Result{}, err
 		}
-		if gerr == nil {
-			if ferr := fault.Failure(fault.SiteFFTSetup); ferr != nil {
-				gs, gerr = nil, ferr
+		telemetry.SamplePeakAlloc()
+	} else {
+		// The qmc sampler rides the grid path on large designs (batched
+		// pair fields) and the dense path on small ones (direct
+		// low-discrepancy deviates), mirroring the auto threshold.
+		if use == SamplerFFT || (use == SamplerQMC && n > autoDenseLimit) {
+			gs, gerr := gridSetup(ctx, cfg, pl)
+			switch {
+			case gerr == nil:
+				grid = &gridSource{gs: gs, sites: pl.Site, stream: stream}
+				runner.src = grid
+			case cfg.Sampler == SamplerAuto && cfg.MaxGates != 0 && n <= cfg.MaxGates:
+				// The embedding failed, but the caller's explicit gate
+				// budget admits the dense path: degrade gracefully and
+				// record it.
+				telemetry.Add("chipmc_sampler_fallback_total", 1)
+				telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
+				use = SamplerDense
+			case use == SamplerQMC && cfg.MaxGates != 0 && n <= cfg.MaxGates:
+				// Same graceful degradation for qmc: the explicit budget
+				// admits the dense field, and the low-discrepancy stream
+				// carries over to the dense-qmc source.
+				telemetry.Add("chipmc_sampler_fallback_total", 1)
+				telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
+			default:
+				return Result{}, lkerr.Wrap(lkerr.Numerical, op, gerr)
 			}
 		}
-		endSetup()
-		switch {
-		case gerr == nil:
-			runner.grid = gs
-			runner.sites = pl.Site
-			// Numerical-health facts of the embedding: how much eigenvalue
-			// clamping the torus absorbed and how large it had to grow.
-			tm, tn := gs.TorusDims()
-			telemetry.SpanAttrStr(ctx, "chipmc.torus", fmt.Sprintf("%dx%d", tm, tn))
-			telemetry.SpanAttrFloat(ctx, "chipmc.clamp_bias", gs.ClampBias())
-		case cfg.Sampler == SamplerAuto && cfg.MaxGates != 0 && n <= cfg.MaxGates:
-			// The embedding failed, but the caller's explicit gate budget
-			// admits the dense path: degrade gracefully and record it.
-			telemetry.Add("chipmc_sampler_fallback_total", 1)
-			telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
-			use = SamplerDense
-		case use == SamplerQMC && cfg.MaxGates != 0 && n <= cfg.MaxGates:
-			// Same graceful degradation for qmc: the explicit budget admits
-			// the dense field, and the low-discrepancy stream carries over
-			// (runner.grid stays nil, selecting the dense-qmc trial body).
-			telemetry.Add("chipmc_sampler_fallback_total", 1)
-			telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
-		default:
-			return Result{}, lkerr.Wrap(lkerr.Numerical, op, gerr)
+		if grid == nil {
+			mvn, derr := newCholesky(ctx, op, cfg.Proc, pl, cfg.Proc.SigmaD2D*cfg.Proc.SigmaD2D, cfg.Proc.LNominal, true)
+			if derr != nil {
+				return Result{}, derr
+			}
+			dense := &denseSource{mvn: mvn, stream: stream}
+			if use == SamplerQMC {
+				dense.qdims = min(n, randvar.SobolMaxDims)
+				if dense.seq, err = qmcSeq(cfg, nl.Name, dense.qdims); err != nil {
+					return Result{}, err
+				}
+				telemetry.SpanAttrInt(ctx, "chipmc.qmc_dims", int64(dense.qdims))
+			}
+			runner.src = dense
 		}
-	}
-	if use == SamplerDense || (use == SamplerQMC && runner.grid == nil) {
-		dense, derr := newDenseSampler(ctx, cfg, n, pl)
-		if derr != nil {
-			return Result{}, derr
-		}
-		runner.dense = dense
 	}
 	defer timeRun(use)()
+	label := use.String()
+	if cfg.Tiles > 1 {
+		label = "tiled-fft"
+	}
 
-	// Trial fan-out. Each trial draws from its own PRNG stream keyed by
-	// (Seed, trial index), so the sampled fields — and therefore every
-	// moment below — are bitwise identical at any worker count. Workers
-	// only race on disjoint totals[trial] slots and on their private
-	// trialBuf scratch; the Welford reduction runs serially afterwards in
-	// trial order.
 	workers := parallel.Resolve(cfg.Workers, cfg.Samples)
 	runner.bufs = make([]trialBuf, workers)
 	totals := make([]float64, cfg.Samples)
-	telemetry.Inc(telemetry.Label("chipmc_sampler_runs_total", "sampler", use.String()))
-	telemetry.SpanAttrStr(ctx, "chipmc.sampler", use.String())
+	telemetry.Inc(telemetry.Label("chipmc_sampler_runs_total", "sampler", label))
+	telemetry.SpanAttrStr(ctx, "chipmc.sampler", label)
 	telemetry.SpanAttrInt(ctx, "chipmc.trials", int64(cfg.Samples))
 	telemetry.SpanAttrInt(ctx, "chipmc.workers", int64(workers))
 	endTrials := telemetry.StartSpan(ctx, "chipmc.trials")
@@ -517,56 +626,88 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 	if r := telemetry.Default(); r != nil {
 		trialsC = r.Counter("chipmc_trials_total")
 	}
-	if use == SamplerQMC {
-		err = runQMCTrials(ctx, cfg, nl.Name, runner, totals, workers, tick, trialsC)
+	if use == SamplerQMC && grid != nil {
+		err = runQMCGrid(ctx, cfg, nl.Name, runner, grid, totals, workers, tick, trialsC)
 	} else {
-		err = parallel.ForEach(ctx, op, workers, cfg.Samples, func(w, trial int) error {
-			trialsC.Inc()
-			fault.Hit(fault.SiteChipMCTrial)
-			total, terr := runner.runTrial(w, trial)
-			if terr != nil {
-				return lkerr.Wrap(lkerr.Numerical, op, terr)
-			}
-			totals[trial] = fault.Corrupt(fault.SiteChipMCTrial, total)
-			tick.Tick()
-			return nil
-		})
+		err = runner.fanOut(ctx, op, workers, 0, totals, nil, trialsC, tick)
 	}
 	if err != nil {
 		rep.Done(tick.Count())
 		endTrials()
 		return Result{}, err
 	}
+	rep.Done(int64(cfg.Samples))
+	endTrials()
+	if cfg.Tiles > 1 {
+		// The O(largest tile) field-memory claim is auditable from the
+		// process_peak_alloc_bytes gauge, sampled after setup and trials.
+		telemetry.SamplePeakAlloc()
+	}
+	res, err := summarize(op, totals, cfg.KeepTrials)
+	if err != nil {
+		return Result{}, err
+	}
+	if cfg.Tail != nil {
+		tail, terr := runTail(ctx, cfg, tailQs, nl.Name, pl, runner, grid, totals, res, workers)
+		if terr != nil {
+			return Result{}, terr
+		}
+		res.Tail = tail
+	}
+	return res, nil
+}
+
+// gridSetup builds (or reuses the prebuilt) circulant embedding of the
+// placement grid inside the chipmc.fft_setup span, recording its
+// numerical-health facts: how much eigenvalue clamping the torus absorbed
+// and how large it had to grow.
+func gridSetup(ctx context.Context, cfg Config, pl *placement.Placement) (*randvar.GridSampler, error) {
+	endSetup := telemetry.StartSpan(ctx, "chipmc.fft_setup")
+	var gs *randvar.GridSampler
+	var err error
+	if cfg.Prebuilt != nil && cfg.Prebuilt.Grid() == pl.Grid {
+		gs = cfg.Prebuilt
+		telemetry.SpanAttrBool(ctx, "chipmc.prebuilt_embedding", true)
+	} else {
+		gs, err = randvar.NewGridSamplerContext(ctx, cfg.Proc, pl.Grid)
+	}
+	if err == nil {
+		err = fault.Failure(fault.SiteFFTSetup)
+	}
+	endSetup()
+	if err != nil {
+		return nil, err
+	}
+	tm, tn := gs.TorusDims()
+	telemetry.SpanAttrStr(ctx, "chipmc.torus", fmt.Sprintf("%dx%d", tm, tn))
+	telemetry.SpanAttrFloat(ctx, "chipmc.clamp_bias", gs.ClampBias())
+	return gs, nil
+}
+
+// summarize reduces the per-trial totals, serially in trial order, to the
+// run's moments and 5/95 % quantiles. The final-moment guard makes a NaN
+// produced by any trial surface as a typed error, never as a silent NaN
+// result.
+func summarize(op string, totals []float64, keep bool) (Result, error) {
 	var run stats.Running
 	for _, total := range totals {
 		run.Push(total)
 	}
-	rep.Done(int64(cfg.Samples))
-	endTrials()
 	res := Result{
 		Mean:    run.Mean(),
 		Std:     run.StdDev(),
 		Q05:     stats.Quantile(totals, 0.05),
 		Q95:     stats.Quantile(totals, 0.95),
-		Samples: cfg.Samples,
+		Samples: len(totals),
 	}
-	if cfg.KeepTrials {
+	if keep {
 		res.Trials = append([]float64(nil), totals...)
 	}
-	// Final-moment guard: a NaN produced by any trial must surface as a
-	// typed error, never as a silent NaN result.
 	if err := lkerr.CheckFinite(op, "mean", res.Mean); err != nil {
 		return Result{}, err
 	}
 	if err := lkerr.CheckFinite(op, "std", res.Std); err != nil {
 		return Result{}, err
-	}
-	if cfg.Tail != nil {
-		tail, terr := runTail(ctx, cfg, tailQs, nl.Name, pl, runner, totals, res, workers)
-		if terr != nil {
-			return Result{}, terr
-		}
-		res.Tail = tail
 	}
 	return res, nil
 }
@@ -602,14 +743,23 @@ func buildGateStates(cfg Config, nl *netlist.Netlist) ([]gateState, error) {
 	return gates, nil
 }
 
-// newDenseSampler assembles the n×n channel-length covariance over gate
-// positions — Σ_ab = σ_d2d² + σ_wid²·ρ_wid(d_ab), total variance on the
-// diagonal — and factorizes it.
-func newDenseSampler(ctx context.Context, cfg Config, n int, pl *placement.Placement) (*randvar.MVNSampler, error) {
-	const op = "chipmc.Run"
-	vd := cfg.Proc.SigmaD2D * cfg.Proc.SigmaD2D
-	vw := cfg.Proc.SigmaWID * cfg.Proc.SigmaWID
-	endAssemble := telemetry.StartSpan(ctx, "chipmc.assemble")
+// newCholesky assembles the n×n channel-length covariance over gate
+// positions — Σ_ab = vd + σ_wid²·ρ_wid(d_ab), vd + σ_wid² on the diagonal —
+// around a constant mean and factorizes it. vd is σ_D2D² for the joint
+// field and 0 for the tail's WID-only factor (0 + x ≡ x, so both factors
+// are bitwise those of a dedicated assembler). traced wraps the assembly
+// and factorization in the chipmc.assemble and chipmc.cholesky spans.
+func newCholesky(ctx context.Context, op string, proc *spatial.Process, pl *placement.Placement,
+	vd, mean float64, traced bool) (*randvar.MVNSampler, error) {
+	n := len(pl.Site)
+	vw := proc.SigmaWID * proc.SigmaWID
+	span := func(name string) func() {
+		if !traced {
+			return func() {}
+		}
+		return telemetry.StartSpan(ctx, name)
+	}
+	endAssemble := span("chipmc.assemble")
 	cov := linalg.NewMatrix(n, n)
 	for a := 0; a < n; a++ {
 		if err := lkerr.FromContext(ctx, op); err != nil {
@@ -619,7 +769,7 @@ func newDenseSampler(ctx context.Context, cfg Config, n int, pl *placement.Place
 		for b := a + 1; b < n; b++ {
 			rho := 0.0
 			if vw > 0 {
-				rho = cfg.Proc.WIDCorr.Rho(pl.Dist(a, b))
+				rho = proc.WIDCorr.Rho(pl.Dist(a, b))
 			}
 			c := vd + vw*rho
 			cov.Set(a, b, c)
@@ -627,12 +777,12 @@ func newDenseSampler(ctx context.Context, cfg Config, n int, pl *placement.Place
 		}
 	}
 	endAssemble()
-	mean := make([]float64, n)
-	for i := range mean {
-		mean[i] = cfg.Proc.LNominal
+	means := make([]float64, n)
+	for i := range means {
+		means[i] = mean
 	}
-	endChol := telemetry.StartSpan(ctx, "chipmc.cholesky")
-	sampler, err := randvar.NewMVNSampler(mean, cov)
+	endChol := span("chipmc.cholesky")
+	sampler, err := randvar.NewMVNSampler(means, cov)
 	endChol()
 	if err != nil {
 		// Factorization failures (non-PD covariance, NaN factor) are

@@ -196,9 +196,30 @@ func TestAutoMatchesDenseBitwise(t *testing.T) {
 	}
 }
 
-// Satellite regression guard: the per-trial body allocates nothing once a
-// worker's buffers are warm, on both sampler paths. The historical loop
-// allocated a fmt.Sprintf key and a fresh PRNG per trial.
+// assertTrialZeroAlloc warms one worker's buffers on src, then checks that a
+// trial at the given tilt allocates nothing.
+func assertTrialZeroAlloc(t *testing.T, name string, gates []gateState, src fieldSource, sigmaVt, tilt float64) {
+	t.Helper()
+	runner := &trialRunner{gates: gates, src: src, sigmaVt: sigmaVt, bufs: make([]trialBuf, 1)}
+	if _, _, err := runner.runTrial(0, 0, tilt); err != nil { // warm the buffers
+		t.Fatal(err)
+	}
+	trial := 1
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := runner.runTrial(0, trial, tilt); err != nil {
+			t.Fatal(err)
+		}
+		trial++
+	})
+	if allocs != 0 {
+		t.Errorf("%s trial body allocates %.1f times per trial, want 0", name, allocs)
+	}
+}
+
+// TestTrialBodyAllocs pins the trial engine's zero-allocation contract on
+// the primary (θ = 0) field sources: once a worker's buffers are warm, a
+// trial allocates nothing. The tilted tail sources and the tiled source are
+// pinned by TestTailTrialBodyAllocs and TestTiledTrialBodyAllocs.
 func TestTrialBodyAllocs(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
@@ -206,39 +227,52 @@ func TestTrialBodyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := newDenseSampler(context.Background(), cfg, len(nl.Gates), pl)
+	stream := stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#")
+	joint, err := newCholesky(context.Background(), "test", proc, pl, proc.SigmaD2D*proc.SigmaD2D, proc.LNominal, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"dense", "fft"} {
-		runner := &trialRunner{
-			gates:   gates,
-			stream:  stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#"),
-			sigmaVt: proc.SigmaVt,
-			bufs:    make([]trialBuf, 1),
-		}
-		if mode == "dense" {
-			runner.dense = dense
-		} else {
-			gs, err := randvar.NewGridSampler(proc, pl.Grid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runner.grid = gs
-			runner.sites = pl.Site
-		}
-		if _, err := runner.runTrial(0, 0); err != nil { // warm the buffers
-			t.Fatal(err)
-		}
-		trial := 1
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := runner.runTrial(0, trial); err != nil {
-				t.Fatal(err)
-			}
-			trial++
-		})
-		if allocs != 0 {
-			t.Errorf("%s trial body allocates %.1f times per trial, want 0", mode, allocs)
-		}
+	gs, err := randvar.NewGridSampler(proc, pl.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qdims := randvar.SobolMaxDims
+	seq, err := qmcSeq(cfg, nl.Name, qdims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  fieldSource
+	}{
+		{"dense", &denseSource{mvn: joint, stream: stream}},
+		{"qmc-dense", &denseSource{mvn: joint, stream: stream, seq: seq, qdims: qdims}},
+		{"grid", &gridSource{gs: gs, sites: pl.Site, stream: stream}},
+	} {
+		assertTrialZeroAlloc(t, tc.name, gates, tc.src, proc.SigmaVt, 0)
+	}
+}
+
+// TestDenseSourceRefusesTilt: the joint dense field folds the D2D deviate
+// into its factor, so a tilted trial on it would be silently untilted and
+// carry wrong importance weights; it must fail with InvalidInput instead.
+func TestDenseSourceRefusesTilt(t *testing.T) {
+	lib, proc, nl, pl := testSetup(t, 25)
+	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5}
+	gates, err := buildGateStates(cfg, nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joint, err := newCholesky(context.Background(), "test", proc, pl, proc.SigmaD2D*proc.SigmaD2D, proc.LNominal, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &denseSource{mvn: joint, stream: stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#")}
+	runner := &trialRunner{gates: gates, src: src, bufs: make([]trialBuf, 1)}
+	if _, _, err := runner.runTrial(0, 0, 0); err != nil {
+		t.Fatalf("θ = 0: %v", err)
+	}
+	if _, _, err := runner.runTrial(0, 1, -2); !lkerr.IsCode(err, lkerr.InvalidInput) {
+		t.Errorf("θ = -2: error %v, want typed InvalidInput", err)
 	}
 }

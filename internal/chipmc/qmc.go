@@ -34,6 +34,8 @@ import (
 //   - Dense path (small designs): the Sobol point index is the trial index;
 //     the first min(n, SobolMaxDims) field normals come from the point and
 //     the rest from the trial's PRNG stream via MVNSampler.SamplePartialInto.
+//     This is the dense field source with a sequence attached (denseSource
+//     in chipmc.go), so it runs through the common trial fan-out.
 //
 // Per-gate state and Vt draws stay pseudo-random from the trial stream in
 // both bodies, exactly as in the dense/fft samplers.
@@ -63,49 +65,6 @@ func qmcSeq(cfg Config, name string, dims int) (*randvar.SobolSeq, error) {
 	return seq, nil
 }
 
-// runQMCTrials fills totals with cfg.Samples qmc trials, dispatching on
-// which field sampler RunContext set up.
-func runQMCTrials(ctx context.Context, cfg Config, name string, runner *trialRunner,
-	totals []float64, workers int, tick *parallel.Ticker, trialsC *telemetry.Counter) error {
-	if runner.grid != nil {
-		return runQMCGrid(ctx, cfg, name, runner, totals, workers, tick, trialsC)
-	}
-	return runQMCDense(ctx, cfg, name, runner, totals, workers, tick, trialsC)
-}
-
-// runQMCDense is the small-design body: per-trial Sobol deviates feed the
-// leading dense-field dimensions directly.
-func runQMCDense(ctx context.Context, cfg Config, name string, runner *trialRunner,
-	totals []float64, workers int, tick *parallel.Ticker, trialsC *telemetry.Counter) error {
-	const op = "chipmc.Run"
-	n := len(runner.gates)
-	qdims := n
-	if qdims > randvar.SobolMaxDims {
-		qdims = randvar.SobolMaxDims
-	}
-	seq, err := qmcSeq(cfg, name, qdims)
-	if err != nil {
-		return err
-	}
-	telemetry.SpanAttrInt(ctx, "chipmc.qmc_dims", int64(qdims))
-	return parallel.ForEach(ctx, op, workers, cfg.Samples, func(w, trial int) error {
-		trialsC.Inc()
-		fault.Hit(fault.SiteChipMCTrial)
-		b := &runner.bufs[w]
-		if b.rng == nil {
-			runner.warm(b)
-		}
-		rng := b.rng
-		rng.Seed(runner.stream.SeedFor(trial))
-		seq.NormalsInto(uint32(trial), b.z[:qdims])
-		runner.dense.SamplePartialInto(rng, b.z, b.ls, qdims)
-		total := chipTotal(runner.gates, rng, b.ls, runner.sigmaVt)
-		totals[trial] = fault.Corrupt(fault.SiteChipMCTrial, total)
-		tick.Tick()
-		return nil
-	})
-}
-
 // qmcGridBuf is one worker's private grid-path state: a batch of pair
 // toruses, the FFT scratch, and the per-pair/per-trial deviate buffers. All
 // of it is warmed once; the batch body is allocation-free afterwards
@@ -121,11 +80,13 @@ type qmcGridBuf struct {
 	ls      []float64    // per-gate channel lengths
 }
 
-// runQMCGrid is the large-design body: batched Dietrich–Newsam pair fields.
-func runQMCGrid(ctx context.Context, cfg Config, name string, runner *trialRunner,
+// runQMCGrid is the large-design body: batched Dietrich–Newsam pair fields
+// on the grid source's sampler, read out at its sites; the per-trial state
+// and Vt draws come from the source's trial stream, as in its fill.
+func runQMCGrid(ctx context.Context, cfg Config, name string, runner *trialRunner, src *gridSource,
 	totals []float64, workers int, tick *parallel.Ticker, trialsC *telemetry.Counter) error {
 	const op = "chipmc.Run"
-	gs := runner.grid
+	gs := src.gs
 	modes := gs.TopModes((randvar.SobolMaxDims - 2) / 2)
 	qdims := 2 + 2*len(modes)
 	seq, err := qmcSeq(cfg, name, qdims)
@@ -201,10 +162,10 @@ func runQMCGrid(ctx context.Context, cfg Config, name string, runner *trialRunne
 				if t == 1 {
 					f = b.fb
 				}
-				for g, s := range runner.sites {
+				for g, s := range src.sites {
 					b.ls[g] = f[s]
 				}
-				b.trng.Seed(runner.stream.SeedFor(trial))
+				b.trng.Seed(src.stream.SeedFor(trial))
 				total := chipTotal(runner.gates, b.trng, b.ls, runner.sigmaVt)
 				totals[trial] = fault.Corrupt(fault.SiteChipMCTrial, total)
 				tick.Tick()

@@ -5,15 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"leakest/internal/fault"
-	"leakest/internal/linalg"
 	"leakest/internal/lkerr"
-	"leakest/internal/parallel"
 	"leakest/internal/placement"
 	"leakest/internal/randvar"
-	"leakest/internal/spatial"
 	"leakest/internal/stats"
 	"leakest/internal/telemetry"
 )
@@ -207,86 +203,6 @@ func (ts TailStats) MarshalJSON() ([]byte, error) {
 	}{alias(ts), finite(ts.P), finite(ts.SE), finite(ts.MCP), finite(ts.MCSE)})
 }
 
-// tailBuf is one worker's private IS-trial scratch, allocated on first use
-// (the trial body itself is allocation-free, like the primary path).
-type tailBuf struct {
-	rng   *rand.Rand
-	ls    []float64 // per-gate channel lengths
-	z     []float64 // dense-path WID standard-normal scratch
-	field []float64 // FFT-path per-site field
-	sc    *randvar.GridScratch
-}
-
-// tailRunner holds the importance-sampled trial state. The dense path
-// decomposes the field explicitly — L_g = L_nom + σ_D2D·(z₀+θ) + wid_g with
-// wid ~ N(0, σ_WID²·ρ) — which samples exactly the same distribution as the
-// primary path's joint covariance Σ = σ_D2D²·11ᵀ + σ_WID²·R, since the D2D
-// component is a rank-one common term. The grid path delegates to
-// GridSampler.SampleTiltedInto, which applies the same decomposition on the
-// torus.
-type tailRunner struct {
-	gates   []gateState
-	sites   []int
-	stream  stats.Stream
-	grid    *randvar.GridSampler
-	wid     *randvar.MVNSampler // zero-mean WID sampler; nil when σ_WID = 0
-	lnom    float64
-	sd2d    float64
-	tilt    float64
-	sigmaVt float64
-	bufs    []tailBuf
-}
-
-func (r *tailRunner) warm(b *tailBuf) {
-	n := len(r.gates)
-	b.rng = rand.New(rand.NewSource(1))
-	b.ls = make([]float64, n)
-	if r.grid != nil {
-		b.field = make([]float64, r.grid.Sites())
-		b.sc = r.grid.NewScratch()
-	} else if r.wid != nil {
-		b.z = make([]float64, n)
-	}
-}
-
-// runTrial executes one tilted trial on worker w, returning the chip total
-// and the raw die-to-die deviate z₀ the weight is computed from. The draw
-// order — z₀ first, within-die normals, then per-gate state and Vt draws —
-// is fixed per trial stream, so results are bitwise identical at any worker
-// count.
-func (r *tailRunner) runTrial(w, trial int) (total, z0 float64, err error) {
-	b := &r.bufs[w]
-	if b.rng == nil {
-		r.warm(b)
-	}
-	rng := b.rng
-	rng.Seed(r.stream.SeedFor(trial))
-	ls := b.ls
-	if r.grid != nil {
-		z0, err = r.grid.SampleTiltedInto(rng, b.sc, b.field, r.tilt)
-		if err != nil {
-			return 0, 0, err
-		}
-		for g, s := range r.sites {
-			ls[g] = b.field[s]
-		}
-	} else {
-		z0 = rng.NormFloat64()
-		shift := r.lnom + r.sd2d*(z0+r.tilt)
-		if r.wid != nil {
-			r.wid.SampleInto(rng, b.z, ls)
-			for g := range ls {
-				ls[g] += shift
-			}
-		} else {
-			for g := range ls {
-				ls[g] = shift
-			}
-		}
-	}
-	return chipTotal(r.gates, rng, ls, r.sigmaVt), z0, nil
-}
-
 // selectTilt picks the tilt θ for the die-to-die deviate. The magnitude
 // comes from a lognormal fit of the primary-run moments: the spec's
 // standard-normal score under the fit is exactly the |θ| that centers the
@@ -323,7 +239,7 @@ func selectTilt(tc *TailConfig, res Result, gates []gateState, lnom float64) flo
 // requested — the importance-sampled deep-tail exceedance with its health-
 // gated fallback.
 func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *placement.Placement,
-	primary *trialRunner, totals []float64, res Result, workers int) (*TailStats, error) {
+	primary *trialRunner, grid *gridSource, totals []float64, res Result, workers int) (*TailStats, error) {
 	const op = "chipmc.Tail"
 	tc := cfg.Tail
 	ctx, endTail := telemetry.WithSpan(ctx, "chipmc.tail")
@@ -359,27 +275,31 @@ func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *place
 		return ts, nil
 	}
 
-	tr := &tailRunner{
-		gates:   primary.gates,
-		sites:   primary.sites,
-		stream:  stats.NewStream(cfg.Seed, "chipmc/"+nl+"/tail#"),
-		grid:    primary.grid,
-		lnom:    cfg.Proc.LNominal,
-		sd2d:    cfg.Proc.SigmaD2D,
-		tilt:    selectTilt(tc, res, primary.gates, cfg.Proc.LNominal),
-		sigmaVt: primary.sigmaVt,
-		bufs:    make([]tailBuf, workers),
-	}
-	if tr.grid == nil && cfg.Proc.SigmaWID > 0 {
-		wid, err := newWIDSampler(ctx, cfg.Proc, pl, len(primary.gates))
-		if err != nil {
-			return nil, err
+	// The proposal reuses the primary grid sampler when there is one; the
+	// dense path splits the field into its D2D and WID components so the
+	// shared deviate can be tilted. Both draw from the tail# streams.
+	stream := stats.NewStream(cfg.Seed, "chipmc/"+nl+"/tail#")
+	tr := &trialRunner{gates: primary.gates, sigmaVt: primary.sigmaVt, bufs: make([]trialBuf, workers)}
+	if grid != nil {
+		tr.src = &gridSource{gs: grid.gs, sites: grid.sites, stream: stream}
+	} else {
+		split := &splitSource{lnom: cfg.Proc.LNominal, sd2d: cfg.Proc.SigmaD2D, stream: stream}
+		if cfg.Proc.SigmaWID > 0 {
+			// A second O(n³) factorization is acceptable here: the dense
+			// path is bounded by DefaultMaxGates and tail estimation is
+			// opt-in.
+			wid, err := newCholesky(ctx, op, cfg.Proc, pl, 0, 0, false)
+			if err != nil {
+				return nil, err
+			}
+			split.wid = wid
 		}
-		tr.wid = wid
+		tr.src = split
 	}
+	theta := selectTilt(tc, res, primary.gates, cfg.Proc.LNominal)
 	ts.ISTrials = tc.ISTrials
-	ts.Shift = tr.tilt
-	telemetry.SpanAttrFloat(ctx, "chipmc.is_shift", tr.tilt)
+	ts.Shift = theta
+	telemetry.SpanAttrFloat(ctx, "chipmc.is_shift", theta)
 	telemetry.SpanAttrInt(ctx, "chipmc.tail_trials", int64(tc.ISTrials))
 
 	isTotals := make([]float64, tc.ISTrials)
@@ -388,17 +308,7 @@ func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *place
 	if r := telemetry.Default(); r != nil {
 		tailC = r.Counter("chipmc_tail_trials_total")
 	}
-	err := parallel.ForEach(ctx, op, workers, tc.ISTrials, func(w, trial int) error {
-		tailC.Inc()
-		total, z0, terr := tr.runTrial(w, trial)
-		if terr != nil {
-			return lkerr.Wrap(lkerr.Numerical, op, terr)
-		}
-		isTotals[trial] = total
-		isZ[trial] = z0
-		return nil
-	})
-	if err != nil {
+	if err := tr.fanOut(ctx, op, workers, theta, isTotals, isZ, tailC, nil); err != nil {
 		return nil, err
 	}
 
@@ -408,7 +318,6 @@ func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *place
 	if scale == 0 {
 		scale = 1
 	}
-	theta := tr.tilt
 	halfT2 := 0.5 * theta * theta
 	ws := make([]float64, tc.ISTrials)
 	for i, z0 := range isZ {
@@ -447,30 +356,4 @@ func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *place
 		return nil, err
 	}
 	return ts, nil
-}
-
-// newWIDSampler factorizes the zero-mean within-die covariance
-// σ_WID²·ρ(d_ab) for the dense tail path. A second O(n³) factorization is
-// acceptable here: the dense path is bounded by DefaultMaxGates and tail
-// estimation is opt-in.
-func newWIDSampler(ctx context.Context, proc *spatial.Process, pl *placement.Placement, n int) (*randvar.MVNSampler, error) {
-	const op = "chipmc.Tail"
-	vw := proc.SigmaWID * proc.SigmaWID
-	cov := linalg.NewMatrix(n, n)
-	for a := 0; a < n; a++ {
-		if err := lkerr.FromContext(ctx, op); err != nil {
-			return nil, err
-		}
-		cov.Set(a, a, vw)
-		for b := a + 1; b < n; b++ {
-			c := vw * proc.WIDCorr.Rho(pl.Dist(a, b))
-			cov.Set(a, b, c)
-			cov.Set(b, a, c)
-		}
-	}
-	sampler, err := randvar.NewMVNSampler(make([]float64, n), cov)
-	if err != nil {
-		return nil, lkerr.Wrap(lkerr.Numerical, op, err)
-	}
-	return sampler, nil
 }

@@ -274,10 +274,10 @@ func TestTailConfigValidation(t *testing.T) {
 	}
 }
 
-// TestTailTrialBodyAllocs extends the zero-alloc guard to the importance-
-// sampled trial body: after warm-up, a tilted trial allocates nothing on
-// either field path (the likelihood-ratio bookkeeping happens in the serial
-// reduction, not per trial).
+// TestTailTrialBodyAllocs: the tail stage's tilted proposals — split
+// D2D-plus-dense-WID, split D2D-only and the tilted FFT grid — allocate
+// nothing per trial once a worker's buffers are warm; the likelihood-ratio
+// bookkeeping happens in the serial reduction, not per trial.
 func TestTailTrialBodyAllocs(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
@@ -285,42 +285,23 @@ func TestTailTrialBodyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wid, err := newWIDSampler(context.Background(), proc, pl, len(nl.Gates))
+	stream := stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/tail#")
+	wid, err := newCholesky(context.Background(), "test", proc, pl, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"dense", "fft"} {
-		runner := &tailRunner{
-			gates:   gates,
-			stream:  stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/tail#"),
-			lnom:    proc.LNominal,
-			sd2d:    proc.SigmaD2D,
-			tilt:    -3,
-			sigmaVt: proc.SigmaVt,
-			bufs:    make([]tailBuf, 1),
-		}
-		if mode == "dense" {
-			runner.wid = wid
-		} else {
-			gs, err := randvar.NewGridSampler(proc, pl.Grid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runner.grid = gs
-			runner.sites = pl.Site
-		}
-		if _, _, err := runner.runTrial(0, 0); err != nil { // warm the buffers
-			t.Fatal(err)
-		}
-		trial := 1
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, err := runner.runTrial(0, trial); err != nil {
-				t.Fatal(err)
-			}
-			trial++
-		})
-		if allocs != 0 {
-			t.Errorf("%s tail trial body allocates %.1f times per trial, want 0", mode, allocs)
-		}
+	gs, err := randvar.NewGridSampler(proc, pl.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  fieldSource
+	}{
+		{"split-dense", &splitSource{wid: wid, lnom: proc.LNominal, sd2d: proc.SigmaD2D, stream: stream}},
+		{"split-d2d-only", &splitSource{lnom: proc.LNominal, sd2d: proc.SigmaD2D, stream: stream}},
+		{"grid-tilted", &gridSource{gs: gs, sites: pl.Site, stream: stream}},
+	} {
+		assertTrialZeroAlloc(t, tc.name, gates, tc.src, proc.SigmaVt, -3)
 	}
 }

@@ -2,22 +2,20 @@ package chipmc
 
 import (
 	"context"
-	"math/rand"
 	"strconv"
 	"time"
 
 	"leakest/internal/fault"
 	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
-	"leakest/internal/parallel"
 	"leakest/internal/placement"
 	"leakest/internal/randvar"
 	"leakest/internal/stats"
 	"leakest/internal/telemetry"
 )
 
-// This file is the tiled Monte-Carlo path of DESIGN.md §16. The placement
-// grid is partitioned into a Tiles×Tiles arrangement; each trial draws one
+// This file is the tiled field source of DESIGN.md §16. The placement grid
+// is partitioned into a Tiles×Tiles arrangement; each trial draws one
 // chip-wide D2D deviate from its own stream, then a WID-only field per tile
 // from the tile's own circulant embedding and its own per-(tile, trial)
 // stream. Field memory scales with the largest tile instead of the die —
@@ -36,30 +34,18 @@ const DefaultMaxGatesTiled = 2000000
 // tileSlot holds one tile's share of the design: which sampler geometry it
 // uses and which gates (with their tile-local site indices) it covers.
 type tileSlot struct {
-	// sampler indexes tiledRunner.samplers; -1 for a tile with no gates.
+	// sampler indexes tiledSource.samplers; -1 for a tile with no gates.
 	sampler int
 	gates   []int
 	sites   []int
 }
 
-// tiledBuf is one worker's private trial state, warmed on first use and
-// reused across every tile and trial afterwards (the between-tile buffer
-// pool of the §16 contract; guarded by TestTiledTrialBodyAllocs). Field and
-// scratch buffers are held per distinct sampler geometry — at most four
-// under the largest-remainder partition — not per tile.
-type tiledBuf struct {
-	rng    *rand.Rand
-	ls     []float64
-	fields [][]float64
-	scs    []*randvar.GridScratch
-}
-
-// tiledRunner holds everything a tiled chip-level trial needs, set up once
-// per run.
-type tiledRunner struct {
-	gates    []gateState
+// tiledSource is the per-tile field. Worker buffers hold one field and FFT
+// scratch per distinct sampler geometry — at most four under the
+// largest-remainder partition — not per tile, and reuse them across every
+// tile and trial.
+type tiledSource struct {
 	sigmaD2D float64
-	sigmaVt  float64
 	// d2dStream seeds the shared per-trial D2D deviate, gateStream the
 	// per-gate state/Vt draws, and tileStreams[t] the tile-t field draws.
 	// Every stream is keyed by (Seed, trial), so trials are bitwise
@@ -69,57 +55,40 @@ type tiledRunner struct {
 	tileStreams []stats.Stream
 	slots       []tileSlot
 	samplers    []*randvar.GridSampler
-	bufs        []tiledBuf
 }
 
-// warm allocates a worker's buffers on its first trial; everything after is
-// allocation-free.
-func (r *tiledRunner) warm(b *tiledBuf) {
-	b.rng = rand.New(rand.NewSource(1))
-	b.ls = make([]float64, len(r.gates))
-	b.fields = make([][]float64, len(r.samplers))
-	b.scs = make([]*randvar.GridScratch, len(r.samplers))
-	for i, gs := range r.samplers {
-		b.fields[i] = make([]float64, gs.Sites())
-		b.scs[i] = gs.NewScratch()
-	}
-}
+func (s *tiledSource) warm(b *trialBuf) { b.warmGrids(s.samplers) }
 
-// runTrial executes one tiled chip-level trial on worker w. Draw order —
-// the shared D2D deviate, then each tile's field in tile-index order, then
-// the per-gate state/Vt draws — is part of the determinism contract: each
-// stage reseeds the worker RNG from its own stream, so the result is
-// bitwise identical at any worker count.
-func (r *tiledRunner) runTrial(w, trial int) (float64, error) {
-	b := &r.bufs[w]
-	if b.rng == nil {
-		r.warm(b)
-	}
+// fill draws the shared D2D deviate, then each tile's field in tile-index
+// order, then reseeds to the gate stream: each stage reseeds the worker RNG
+// from its own stream.
+func (s *tiledSource) fill(b *trialBuf, trial int, tilt float64) (float64, error) {
 	rng := b.rng
-	rng.Seed(r.d2dStream.SeedFor(trial))
-	shift := r.sigmaD2D * rng.NormFloat64()
-	for ti := range r.slots {
-		slot := &r.slots[ti]
+	rng.Seed(s.d2dStream.SeedFor(trial))
+	z0 := rng.NormFloat64()
+	shift := s.sigmaD2D * (z0 + tilt)
+	for ti := range s.slots {
+		slot := &s.slots[ti]
 		if slot.sampler < 0 {
 			continue
 		}
 		field := b.fields[slot.sampler]
-		rng.Seed(r.tileStreams[ti].SeedFor(trial))
-		if err := r.samplers[slot.sampler].SampleInto(rng, b.scs[slot.sampler], field); err != nil {
+		rng.Seed(s.tileStreams[ti].SeedFor(trial))
+		if err := s.samplers[slot.sampler].SampleInto(rng, b.scs[slot.sampler], field); err != nil {
 			return 0, err
 		}
 		for i, g := range slot.gates {
 			b.ls[g] = field[slot.sites[i]] + shift
 		}
 	}
-	rng.Seed(r.gateStream.SeedFor(trial))
-	return chipTotal(r.gates, rng, b.ls, r.sigmaVt), nil
+	rng.Seed(s.gateStream.SeedFor(trial))
+	return z0, nil
 }
 
-// newTiledRunner partitions the placement, assigns gates to tiles, and
+// newTiledSource partitions the placement, assigns gates to tiles, and
 // builds one WID-only grid sampler per distinct tile geometry. It observes
 // tile_duration_seconds per tile and chipmc_tiles_total per run.
-func newTiledRunner(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placement.Placement, gates []gateState) (*tiledRunner, error) {
+func newTiledSource(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placement.Placement) (*tiledSource, error) {
 	const op = "chipmc.Run"
 	grid := pl.Grid
 	parts := placement.Partition(grid, cfg.Tiles)
@@ -180,22 +149,18 @@ func newTiledRunner(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *pl
 		}
 	}
 
-	runner := &tiledRunner{
-		gates:      gates,
-		sigmaD2D:   cfg.Proc.SigmaD2D,
-		d2dStream:  stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/d2d#"),
-		gateStream: stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/tilegates#"),
-		slots:      slots,
-		samplers:   samplers,
+	src := &tiledSource{
+		sigmaD2D:    cfg.Proc.SigmaD2D,
+		d2dStream:   stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/d2d#"),
+		gateStream:  stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/tilegates#"),
+		tileStreams: make([]stats.Stream, len(parts)),
+		slots:       slots,
+		samplers:    samplers,
 	}
-	if cfg.IncludeVt {
-		runner.sigmaVt = cfg.Proc.SigmaVt
-	}
-	runner.tileStreams = make([]stats.Stream, len(parts))
 	for ti := range parts {
-		runner.tileStreams[ti] = stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/tile"+strconv.Itoa(ti)+"/trial#")
+		src.tileStreams[ti] = stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/tile"+strconv.Itoa(ti)+"/trial#")
 	}
-	return runner, nil
+	return src, nil
 }
 
 // edgeLookup expands partition edges into a per-unit tile-coordinate table:
@@ -208,74 +173,4 @@ func edgeLookup(edges []int, dim int) []int {
 		}
 	}
 	return out
-}
-
-// runTiledContext is the tiled counterpart of the monolithic trial fan-out
-// in RunContext: same per-trial stream determinism, same Welford reduction
-// in trial order, same final-moment guards. The peak-memory high-water mark
-// is sampled after setup and after the trials so the O(largest tile) field
-// memory claim is auditable from the process_peak_alloc_bytes gauge.
-func runTiledContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placement.Placement, gates []gateState) (Result, error) {
-	const op = "chipmc.Run"
-	runner, err := newTiledRunner(ctx, cfg, nl, pl, gates)
-	if err != nil {
-		return Result{}, err
-	}
-	telemetry.SamplePeakAlloc()
-	defer timeRun(SamplerFFT)()
-
-	workers := parallel.Resolve(cfg.Workers, cfg.Samples)
-	runner.bufs = make([]tiledBuf, workers)
-	totals := make([]float64, cfg.Samples)
-	telemetry.Inc(telemetry.Label("chipmc_sampler_runs_total", "sampler", "tiled-fft"))
-	telemetry.SpanAttrStr(ctx, "chipmc.sampler", "tiled-fft")
-	telemetry.SpanAttrInt(ctx, "chipmc.trials", int64(cfg.Samples))
-	telemetry.SpanAttrInt(ctx, "chipmc.workers", int64(workers))
-	endTrials := telemetry.StartSpan(ctx, "chipmc.trials")
-	rep := telemetry.StartProgress(ctx, "chipmc.trials", int64(cfg.Samples))
-	tick := parallel.NewTicker(rep)
-	var trialsC *telemetry.Counter
-	if r := telemetry.Default(); r != nil {
-		trialsC = r.Counter("chipmc_trials_total")
-	}
-	err = parallel.ForEach(ctx, op, workers, cfg.Samples, func(w, trial int) error {
-		trialsC.Inc()
-		fault.Hit(fault.SiteChipMCTrial)
-		total, terr := runner.runTrial(w, trial)
-		if terr != nil {
-			return lkerr.Wrap(lkerr.Numerical, op, terr)
-		}
-		totals[trial] = fault.Corrupt(fault.SiteChipMCTrial, total)
-		tick.Tick()
-		return nil
-	})
-	if err != nil {
-		rep.Done(tick.Count())
-		endTrials()
-		return Result{}, err
-	}
-	var run stats.Running
-	for _, total := range totals {
-		run.Push(total)
-	}
-	rep.Done(int64(cfg.Samples))
-	endTrials()
-	telemetry.SamplePeakAlloc()
-	res := Result{
-		Mean:    run.Mean(),
-		Std:     run.StdDev(),
-		Q05:     stats.Quantile(totals, 0.05),
-		Q95:     stats.Quantile(totals, 0.95),
-		Samples: cfg.Samples,
-	}
-	if cfg.KeepTrials {
-		res.Trials = append([]float64(nil), totals...)
-	}
-	if err := lkerr.CheckFinite(op, "mean", res.Mean); err != nil {
-		return Result{}, err
-	}
-	if err := lkerr.CheckFinite(op, "std", res.Std); err != nil {
-		return Result{}, err
-	}
-	return res, nil
 }

@@ -125,16 +125,12 @@ func TestTiledMatchesMonolithic(t *testing.T) {
 }
 
 // TestTiledSamplerReuse: interior tiles share their sub-grid geometry, so
-// the runner must build at most a handful of distinct embeddings, not one
+// the source must build at most a handful of distinct embeddings, not one
 // per tile.
 func TestTiledSamplerReuse(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 225)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Tiles: 3}
-	gates, err := buildGateStates(cfg, nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := newTiledRunner(context.Background(), cfg, nl, pl, gates)
+	runner, err := newTiledSource(context.Background(), cfg, nl, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +167,8 @@ func TestTiledSamplerReuse(t *testing.T) {
 	}
 }
 
-// TestTiledTrialBodyAllocs pins the §16 scratch-reuse contract: once a
-// worker's buffers are warm, the tiled trial body — shared D2D draw, one
-// field per tile, the gate pass — allocates nothing.
+// TestTiledTrialBodyAllocs: the tiled field source allocates nothing per
+// trial once a worker's buffers are warm.
 func TestTiledTrialBodyAllocs(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 225)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true, Tiles: 3}
@@ -181,24 +176,11 @@ func TestTiledTrialBodyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := newTiledRunner(context.Background(), cfg, nl, pl, gates)
+	src, err := newTiledSource(context.Background(), cfg, nl, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner.bufs = make([]tiledBuf, 1)
-	if _, err := runner.runTrial(0, 0); err != nil { // warm the buffers
-		t.Fatal(err)
-	}
-	trial := 1
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := runner.runTrial(0, trial); err != nil {
-			t.Fatal(err)
-		}
-		trial++
-	})
-	if allocs != 0 {
-		t.Errorf("tiled trial body allocates %.1f times per trial, want 0", allocs)
-	}
+	assertTrialZeroAlloc(t, "tiled", gates, src, proc.SigmaVt, 0)
 }
 
 // TestTiledBudget: the tiled path carries its own default gate budget and

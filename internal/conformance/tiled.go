@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"leakest/internal/charlib"
 	"leakest/internal/chipmc"
@@ -17,17 +18,16 @@ import (
 
 // The tiled conformance suite gates the DESIGN.md §16 tiled pipeline:
 //
-//  1. Exactness — on every fixture the tiled linear estimator must equal
-//     the monolithic linear estimator bitwise (ULP-class Exact bounds) at
-//     each tile count, stay bitwise invariant across tile counts and
-//     worker counts, and keep its per-tile bookkeeping consistent.
+//  1. Diagnostics only — on every fixture the linear answer with a tile
+//     breakdown attached must equal the plain linear answer bitwise at each
+//     tile count, stay bitwise invariant across tile counts and worker
+//     counts (tile stats included), and keep its per-tile bookkeeping
+//     consistent: tile gates partition N and tile means sum to the chip
+//     mean.
 //  2. Streaming — per-tile gate counts accumulated from a leakest-stream
 //     serialization must reproduce the in-memory result bitwise, so the
 //     O(tile)-memory reader is moment-preserving by construction.
-//  3. Envelope — the tiled quadrature estimator (per-tile Eq. 20 plus
-//     centroid cross terms) must track the monolithic integral within a
-//     recorded envelope.
-//  4. Sampled law — the tiled Monte Carlo must match an exact serial
+//  3. Sampled law — the tiled Monte Carlo must match an exact serial
 //     pairwise reference of its own law (full TotalCorr within a tile, the
 //     D2D CorrFloor across tiles) within z·SE, and be bitwise worker-
 //     invariant.
@@ -102,7 +102,7 @@ func (h *harness) runTiledFixture(ctx context.Context, fx Fixture) error {
 
 	var prev core.Result
 	for i, t := range tiledTileCounts {
-		res, err := m.EstimateTiledCtx(ctx, t, nil)
+		res, err := tiledLinear(ctx, m, t, nil)
 		if err != nil {
 			return err
 		}
@@ -112,9 +112,9 @@ func (h *harness) runTiledFixture(ctx context.Context, fx Fixture) error {
 		}
 		name := fmt.Sprintf("tiled/t%d", t)
 		h.check(fx.Name, name+"-mean-vs-monolithic", KindExact, res.Mean, lin.Mean, Exact(),
-			"tiled mean is the same n·µ_XI sum")
+			"a tile breakdown never changes the chip mean")
 		h.check(fx.Name, name+"-std-vs-monolithic", KindExact, res.Std, lin.Std, Exact(),
-			"ordered-pair lag regrouping over tile intervals is integer-exact (§16)")
+			"a tile breakdown never changes the chip σ (§16: tile-interval lag regrouping is integer-exact)")
 		gates := 0
 		for _, ts := range res.TileStats {
 			gates += ts.Gates
@@ -135,35 +135,31 @@ func (h *harness) runTiledFixture(ctx context.Context, fx Fixture) error {
 		prev = res
 	}
 
-	// Worker invariance: the serial tiled run must reproduce the pooled one
-	// bitwise (prev holds the last sweep result at cfg.Workers).
+	// Worker invariance: the serial run must reproduce the pooled one
+	// bitwise, tile stats included (prev holds the last sweep result at
+	// cfg.Workers).
 	m.Workers = 1
-	serial, err := m.EstimateTiledCtx(ctx, tiledTileCounts[len(tiledTileCounts)-1], nil)
+	serial, err := tiledLinear(ctx, m, tiledTileCounts[len(tiledTileCounts)-1], nil)
 	if err != nil {
 		return err
 	}
 	m.Workers = h.cfg.Workers
 	serial = h.mutate("tiled", serial)
 	h.checkBehavior(fx.Name, "tiled/worker-invariance",
-		serial.Mean == prev.Mean && serial.Std == prev.Std,
-		"tiled moments must be bitwise identical at any worker count")
-
-	// Tiled quadrature: exact mean, σ within the recorded integral envelope
-	// plus the centroid-cross-term allowance measured in the core tests.
-	ti, err := m.EstimateTiledIntegral2DCtx(ctx, tiledMutationMid, nil)
-	if err != nil {
-		return err
-	}
-	ti = h.mutate("tiled", ti)
-	h.check(fx.Name, "tiled/integral-mean-identity", KindExact, ti.Mean, lin.Mean, Exact(), "")
-	intBound := fx.IntErrBoundPct
-	if intBound == 0 {
-		intBound, _ = RecordedEnvelope("e7.integral_err", n)
-	}
-	h.check(fx.Name, "tiled/integral-std-vs-linear", KindApprox, ti.Std, lin.Std,
-		RelPct(intBound+5),
-		"per-tile Eq. 20 plus centroid cross terms; integral envelope + 5 pp centroid allowance")
+		serial.Mean == prev.Mean && serial.Std == prev.Std && slices.Equal(serial.TileStats, prev.TileStats),
+		"tiled moments and tile stats must be bitwise identical at any worker count")
 	return nil
+}
+
+// tiledLinear is the linear answer with the tiles×tiles breakdown attached,
+// as leakest.Estimator returns it for Linear with Tiles > 1.
+func tiledLinear(ctx context.Context, m *core.Model, tiles int, tileGates []int) (core.Result, error) {
+	res, err := m.EstimateLinearCtx(ctx)
+	if err != nil {
+		return core.Result{}, err
+	}
+	res.TileStats, err = m.TileStatsCtx(ctx, tiles, tileGates)
+	return res, err
 }
 
 // tiledMCFixture builds the placed design the sampled-law gates run on: a
@@ -344,7 +340,7 @@ func (h *harness) runTiledMC(ctx context.Context) error {
 		return err
 	}
 	sm.Workers = h.cfg.Workers
-	streamed, err := sm.EstimateTiledCtx(ctx, hdr.Tiles, tileGates)
+	streamed, err := tiledLinear(ctx, sm, hdr.Tiles, tileGates)
 	if err != nil {
 		return err
 	}

@@ -25,8 +25,9 @@ type Result struct {
 	GridRows, GridCols int
 	// Note carries estimator-specific remarks (e.g. occupancy scaling).
 	Note string
-	// TileStats holds per-tile moments when a tiled estimator produced this
-	// result (DESIGN.md §16); nil for the monolithic paths.
+	// TileStats holds per-tile linear-method moments when the caller asked
+	// for a tile breakdown (DESIGN.md §16); nil otherwise. It never changes
+	// Mean, Std or Method.
 	TileStats []TileStat
 	// Degraded reports that a budget ruled out the requested method and the
 	// statistics come from a cheaper estimator (Method names which one).
@@ -106,45 +107,11 @@ func (m *Model) EstimateLinearCtx(ctx context.Context) (Result, error) {
 	dw := m.Spec.W / float64(cols)
 	dh := m.Spec.H / float64(k)
 
-	// Off-diagonal mass over distance vectors (i, j) ≠ (0, 0); the
-	// diagonal term (0,0) contributes S·σ²_XI. Columns are sharded: each
-	// column i owns slot colOff[i] and sums its j terms top to bottom, and
-	// the columns are merged in index order below, so the result is
-	// bitwise identical at any worker count (the F(ρ_L) spline is
-	// read-only here).
-	colOff := make([]float64, cols)
 	tick := parallel.NewTicker(rep)
-	err := parallel.ForEach(ctx, "core.EstimateLinear", m.Workers, cols, func(_, i int) error {
-		sum := 0.0
-		for j := 0; j <= k-1; j++ {
-			if i == 0 && j == 0 {
-				continue
-			}
-			d := math.Hypot(float64(i)*dw, float64(j)*dh)
-			cov := m.CovAtCorr(m.Proc.TotalCorr(d))
-			if cov == 0 {
-				continue
-			}
-			// Each (±i, ±j) combination has multiplicity (m−i)(k−j); with
-			// i or j zero the sign does not double.
-			mult := float64((cols - i) * (k - j))
-			count := 4.0
-			if i == 0 || j == 0 {
-				count = 2
-			}
-			sum += count * mult * cov
-		}
-		colOff[i] = sum
-		tick.Tick()
-		return nil
-	})
+	off, err := m.lagSum(ctx, "core.EstimateLinear", k, cols, dw, dh, tick)
 	if err != nil {
 		rep.Done(tick.Count())
 		return Result{}, err
-	}
-	off := 0.0
-	for _, v := range colOff {
-		off += v
 	}
 	rep.Done(int64(cols))
 	off = fault.Corrupt(fault.SiteLinearAccum, off)
@@ -164,6 +131,50 @@ func (m *Model) EstimateLinearCtx(ctx context.Context) (Result, error) {
 		GridCols: cols,
 		Note:     note,
 	}.checkFinite("core.EstimateLinear")
+}
+
+// lagSum is the Eq. 17 off-diagonal covariance mass of a rows×cols site
+// array at pitch (dw, dh): every distance vector (i, j) ≠ (0, 0) weighted
+// by its multiplicity (cols−i)(rows−j), doubled per nonzero sign; the
+// diagonal term (0,0) contributes S·σ²_XI and is the caller's. Columns are
+// sharded: each column i owns slot colOff[i] and sums its j terms top to
+// bottom, and the columns are merged in index order, so the result is
+// bitwise identical at any worker count (the F(ρ_L) spline is read-only
+// here). ctx is checked, and tick advanced, once per column.
+func (m *Model) lagSum(ctx context.Context, op string, rows, cols int, dw, dh float64, tick *parallel.Ticker) (float64, error) {
+	colOff := make([]float64, cols)
+	err := parallel.ForEach(ctx, op, m.Workers, cols, func(_, i int) error {
+		sum := 0.0
+		for j := 0; j <= rows-1; j++ {
+			if i == 0 && j == 0 {
+				continue
+			}
+			d := math.Hypot(float64(i)*dw, float64(j)*dh)
+			cov := m.CovAtCorr(m.Proc.TotalCorr(d))
+			if cov == 0 {
+				continue
+			}
+			// Each (±i, ±j) combination has multiplicity
+			// (cols−i)(rows−j); with i or j zero the sign does not double.
+			mult := float64((cols - i) * (rows - j))
+			count := 4.0
+			if i == 0 || j == 0 {
+				count = 2
+			}
+			sum += count * mult * cov
+		}
+		colOff[i] = sum
+		tick.Tick()
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	off := 0.0
+	for _, v := range colOff {
+		off += v
+	}
+	return off, nil
 }
 
 // EstimateIntegral2D computes the statistics with the constant-time 2-D

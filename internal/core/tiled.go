@@ -2,33 +2,26 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sync"
 	"time"
 
-	"leakest/internal/fault"
 	"leakest/internal/lkerr"
-	"leakest/internal/parallel"
 	"leakest/internal/placement"
-	"leakest/internal/quad"
 	"leakest/internal/telemetry"
 )
 
-// This file implements the tiled (hierarchical) estimators of DESIGN.md §16:
-// the die is partitioned into a T×T arrangement of tiles, per-tile moments
-// come from the existing estimators applied to each tile's sub-grid, and the
-// tiles are combined through an inter-tile covariance. For the linear method
-// the combination is exact — every ordered site pair belongs to exactly one
-// (tile, tile) pair, and regrouping those pair populations by lag reproduces
-// the monolithic Eq. 17 multiplicities integer-for-integer — so the tiled
-// result is bitwise identical to the monolithic one at any tile count. The
-// quadrature variant evaluates cross-tile covariance at tile-centroid
-// granularity and is envelope-gated instead.
+// This file is the per-tile diagnostics of DESIGN.md §16: the model's RG
+// array is partitioned into a T×T arrangement of tiles and each tile gets
+// its standalone linear-method moments. The chip-level answer never depends
+// on the tiling: regrouping Eq. 17's ordered site pairs by tile interval
+// reproduces the monolithic lag multiplicities integer-for-integer
+// (tiled_test.go proves the identity), so a tiled combination would only
+// recompute EstimateLinear's bits. Callers attach TileStats to whichever
+// estimator answered.
 
-// TileStat is the per-tile moment record the tiled estimators attach to
-// Result.TileStats: the tile's position in the tile arrangement, its gate
-// count, and its standalone linear-method moments.
+// TileStat is one tile's moment record in Result.TileStats: the tile's
+// position in the tile arrangement, its gate count, and its standalone
+// linear-method moments.
 type TileStat struct {
 	// Index is the tile's position in row-major tile order.
 	Index int `json:"index"`
@@ -41,40 +34,6 @@ type TileStat struct {
 	// from the linear method on the tile's own sub-grid.
 	Mean float64 `json:"mean"`
 	Std  float64 `json:"std"`
-}
-
-// tileLagCounts regroups the ordered site-pair population of one dimension
-// by lag, assembling it from the tile decomposition: for every ordered pair
-// of tile intervals [s₁,e₁)×[s₂,e₂) and every lag i, the pairs (c, c+i)
-// with c in the first interval and c+i in the second number
-// max(0, min(e₁, e₂−i) − max(s₁, s₂−i)). Summed over all interval pairs
-// (and doubled for i > 0 to cover the −i direction) this reproduces the
-// monolithic lag population exactly: lc[0] = dim, lc[i] = 2·(dim − i).
-// The counts are integers, so the decomposition is exact — this is what
-// makes the tiled linear method bitwise identical to the monolithic one.
-func tileLagCounts(edges []int, dim int) []int64 {
-	t := len(edges) - 1
-	lc := make([]int64, dim)
-	for a := 0; a < t; a++ {
-		for b := 0; b < t; b++ {
-			s1, e1 := edges[a], edges[a+1]
-			s2, e2 := edges[b], edges[b+1]
-			lo := max(0, s2-(e1-1))
-			hi := min(dim-1, e2-1-s1)
-			for i := lo; i <= hi; i++ {
-				ov := min(e1, e2-i) - max(s1, s2-i)
-				if ov <= 0 {
-					continue
-				}
-				if i == 0 {
-					lc[0] += int64(ov)
-				} else {
-					lc[i] += 2 * int64(ov)
-				}
-			}
-		}
-	}
-	return lc
 }
 
 // allocateTileGates distributes n gates over the tiles proportionally to
@@ -114,7 +73,7 @@ func allocateTileGates(n int, tiles []placement.Tile) []int {
 	return counts
 }
 
-// TiledPartitionLen reports how many tiles EstimateTiledCtx produces for a
+// TiledPartitionLen reports how many tiles TileStatsCtx produces for a
 // tiles-per-side request on this model's RG array — callers supplying their
 // own per-tile gate counts (e.g. the streaming estimator) use it to check
 // their partition matches before handing the counts over.
@@ -126,189 +85,80 @@ func (m *Model) TiledPartitionLen(tiles int) int {
 // tileGrid partitions the model's RG array into the tile arrangement for
 // the requested tile count and validates the optional per-tile gate
 // allocation, falling back to the proportional rule when none is given.
-func (m *Model) tileGrid(tiles int, tileGates []int) (rows, cols int, parts []placement.Tile, counts []int, err error) {
+func (m *Model) tileGrid(tiles int, tileGates []int) (parts []placement.Tile, counts []int, err error) {
+	const op = "core.TileStats"
 	if tiles < 1 {
-		return 0, 0, nil, nil, lkerr.New(lkerr.InvalidInput, "core.EstimateTiled",
-			"tile count must be ≥ 1, got %d", tiles)
+		return nil, nil, lkerr.New(lkerr.InvalidInput, op, "tile count must be ≥ 1, got %d", tiles)
 	}
-	rows, cols = m.modelGrid()
+	rows, cols := m.modelGrid()
 	grid := placement.Grid{Rows: rows, Cols: cols,
 		SiteW: m.Spec.W / float64(cols), SiteH: m.Spec.H / float64(rows)}
 	parts = placement.Partition(grid, tiles)
-	if tileGates != nil {
-		if len(tileGates) != len(parts) {
-			return 0, 0, nil, nil, lkerr.New(lkerr.InvalidInput, "core.EstimateTiled",
-				"per-tile gate counts: got %d entries, tile partition has %d", len(tileGates), len(parts))
-		}
-		sum := 0
-		for i, c := range tileGates {
-			if c < 0 {
-				return 0, 0, nil, nil, lkerr.New(lkerr.InvalidInput, "core.EstimateTiled",
-					"per-tile gate count %d is negative (%d)", i, c)
-			}
-			sum += c
-		}
-		if sum != m.Spec.N {
-			return 0, 0, nil, nil, lkerr.New(lkerr.InvalidInput, "core.EstimateTiled",
-				"per-tile gate counts sum to %d, spec has %d gates", sum, m.Spec.N)
-		}
-		counts = tileGates
-	} else {
-		counts = allocateTileGates(m.Spec.N, parts)
+	if tileGates == nil {
+		return parts, allocateTileGates(m.Spec.N, parts), nil
 	}
-	return rows, cols, parts, counts, nil
+	if len(tileGates) != len(parts) {
+		return nil, nil, lkerr.New(lkerr.InvalidInput, op,
+			"per-tile gate counts: got %d entries, tile partition has %d", len(tileGates), len(parts))
+	}
+	sum := 0
+	for i, c := range tileGates {
+		if c < 0 {
+			return nil, nil, lkerr.New(lkerr.InvalidInput, op, "per-tile gate count %d is negative (%d)", i, c)
+		}
+		sum += c
+	}
+	if sum != m.Spec.N {
+		return nil, nil, lkerr.New(lkerr.InvalidInput, op,
+			"per-tile gate counts sum to %d, spec has %d gates", sum, m.Spec.N)
+	}
+	return parts, tileGates, nil
 }
 
-// EstimateTiled computes the full-chip statistics with the tiled linear
-// method: the die is partitioned into a tiles×tiles arrangement, per-tile
-// moments come from the linear method on each tile's own sub-grid (reported
-// in Result.TileStats), and the global moments combine the tiles through the
-// exact inter-tile pair populations of tileLagCounts — bitwise identical to
-// the monolithic EstimateLinear at every tile and worker count.
-func (m *Model) EstimateTiled(tiles int, tileGates []int) (Result, error) {
-	return m.EstimateTiledCtx(context.Background(), tiles, tileGates)
-}
-
-// EstimateTiledCtx is EstimateTiled with cancellation and tile telemetry:
-// the lag loop checks ctx once per grid column, and the per-tile stats pass
-// reports tile progress and observes tile_duration_seconds per tile.
-func (m *Model) EstimateTiledCtx(ctx context.Context, tiles int, tileGates []int) (Result, error) {
-	defer timeMethod(ctx, "linear-tiled", "estimate.linear-tiled")()
-	k, cols, parts, counts, err := m.tileGrid(tiles, tileGates)
+// TileStatsCtx partitions the RG array into a tiles×tiles arrangement and
+// returns each tile's standalone linear-method moments. tileGates, when
+// non-nil, gives the gates per tile in row-major tile order (they must sum
+// to the spec's N); nil allocates N over the tiles by site count. Each
+// distinct tile shape's off-diagonal mass is the Eq. 17 lag sum of
+// EstimateLinearCtx on the tile's sub-grid, computed once per shape — at
+// most four under the largest-remainder partition — and only the occupancy
+// scaling differs per tile.
+func (m *Model) TileStatsCtx(ctx context.Context, tiles int, tileGates []int) ([]TileStat, error) {
+	parts, counts, err := m.tileGrid(tiles, tileGates)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
+	defer telemetry.StartSpan(ctx, "estimate.tiles")()
 	telemetry.SpanAttrInt(ctx, "tiles", int64(len(parts)))
-	rowEdges := placement.TileEdges(k, tiles)
-	colEdges := placement.TileEdges(cols, tiles)
-	or := tileLagCounts(rowEdges, k)
-	oc := tileLagCounts(colEdges, cols)
-
-	rep := telemetry.StartProgress(ctx, "estimate.linear-tiled", int64(cols))
-	s := k * cols
+	rows, cols := m.modelGrid()
 	dw := m.Spec.W / float64(cols)
-	dh := m.Spec.H / float64(k)
-
-	// Off-diagonal mass, regrouped by lag exactly as the monolithic loop:
-	// oc[i]·or[j] is an exact integer equal to the monolithic count·mult
-	// (4·(cols−i)(k−j), halved on the axes), and the products stay far below
-	// 2⁵³, so float64(oc[i]·or[j])·cov rounds identically to the monolithic
-	// count·mult·cov. Columns are sharded into owned slots and merged in
-	// index order, preserving the §9 bitwise-determinism contract.
-	colOff := make([]float64, cols)
-	tick := parallel.NewTicker(rep)
-	err = parallel.ForEach(ctx, "core.EstimateTiled", m.Workers, cols, func(_, i int) error {
-		sum := 0.0
-		for j := 0; j <= k-1; j++ {
-			if i == 0 && j == 0 {
-				continue
-			}
-			d := math.Hypot(float64(i)*dw, float64(j)*dh)
-			cov := m.CovAtCorr(m.Proc.TotalCorr(d))
-			if cov == 0 {
-				continue
-			}
-			sum += float64(oc[i]*or[j]) * cov
-		}
-		colOff[i] = sum
-		tick.Tick()
-		return nil
-	})
-	if err != nil {
-		rep.Done(tick.Count())
-		return Result{}, err
-	}
-	off := 0.0
-	for _, v := range colOff {
-		off += v
-	}
-	rep.Done(int64(cols))
-	off = fault.Corrupt(fault.SiteLinearAccum, off)
-	n := float64(m.Spec.N)
-	note := ""
-	if s != m.Spec.N {
-		occ := n * (n - 1) / (float64(s) * float64(s-1))
-		off *= occ
-		note = fmt.Sprintf("occupancy-scaled: %d gates on %d×%d=%d sites", m.Spec.N, k, cols, s)
-	}
-	variance := n*m.variance + off
-
-	stats, err := m.tileStats(ctx, parts, counts, dw, dh)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Mean:      n * m.mu,
-		Std:       math.Sqrt(variance),
-		Method:    "linear-tiled",
-		GridRows:  k,
-		GridCols:  cols,
-		Note:      note,
-		TileStats: stats,
-	}.checkFinite("core.EstimateTiled")
-}
-
-// tileStats computes each tile's standalone linear-method moments. Interior
-// tiles share their sub-grid dimensions, so the off-diagonal lag sum is
-// cached per distinct (rows, cols) — at most four combinations under the
-// largest-remainder partition — and only the occupancy scaling differs per
-// tile. Tiles are sharded into owned slots merged in index order.
-func (m *Model) tileStats(ctx context.Context, parts []placement.Tile, counts []int, dw, dh float64) ([]TileStat, error) {
+	dh := m.Spec.H / float64(rows)
 	// Recover the tile-arrangement width from the partition itself: tiles in
 	// the first tile row share Row0.
 	across := 0
 	for _, t := range parts {
-		if t.Row0 == parts[0].Row0 {
-			across++
-		} else {
+		if t.Row0 != parts[0].Row0 {
 			break
 		}
-	}
-
-	type dims struct{ rows, cols int }
-	offCache := make(map[dims]float64)
-	var cacheMu sync.Mutex
-	offFor := func(d dims) float64 {
-		cacheMu.Lock()
-		v, ok := offCache[d]
-		cacheMu.Unlock()
-		if ok {
-			return v
-		}
-		sum := 0.0
-		for i := 0; i < d.cols; i++ {
-			for j := 0; j < d.rows; j++ {
-				if i == 0 && j == 0 {
-					continue
-				}
-				dd := math.Hypot(float64(i)*dw, float64(j)*dh)
-				cov := m.CovAtCorr(m.Proc.TotalCorr(dd))
-				if cov == 0 {
-					continue
-				}
-				mult := float64((d.cols - i) * (d.rows - j))
-				count := 4.0
-				if i == 0 || j == 0 {
-					count = 2
-				}
-				sum += count * mult * cov
-			}
-		}
-		cacheMu.Lock()
-		offCache[d] = sum
-		cacheMu.Unlock()
-		return sum
+		across++
 	}
 
 	rep := telemetry.StartProgress(ctx, "estimate.tiles", int64(len(parts)))
-	tick := parallel.NewTicker(rep)
+	offs := make(map[[2]int]float64)
 	out := make([]TileStat, len(parts))
-	err := parallel.ForEach(ctx, "core.TileStats", m.Workers, len(parts), func(_, idx int) error {
+	for idx, t := range parts {
 		start := time.Now()
-		t := parts[idx]
-		nt := counts[idx]
-		st := t.Sites()
-		off := offFor(dims{rows: t.Rows(), cols: t.Cols()})
+		shape := [2]int{t.Rows(), t.Cols()}
+		off, ok := offs[shape]
+		if !ok {
+			off, err = m.lagSum(ctx, "core.TileStats", shape[0], shape[1], dw, dh, nil)
+			if err != nil {
+				rep.Done(int64(idx))
+				return nil, err
+			}
+			offs[shape] = off
+		}
+		nt, st := counts[idx], t.Sites()
 		if st != nt {
 			occ := 0.0
 			if nt > 1 && st > 1 {
@@ -316,145 +166,19 @@ func (m *Model) tileStats(ctx context.Context, parts []placement.Tile, counts []
 			}
 			off *= occ
 		}
-		variance := float64(nt)*m.variance + off
 		out[idx] = TileStat{
 			Index: idx,
 			Row:   idx / across,
 			Col:   idx % across,
 			Gates: nt,
 			Mean:  float64(nt) * m.mu,
-			Std:   math.Sqrt(variance),
+			Std:   math.Sqrt(float64(nt)*m.variance + off),
 		}
 		if telemetry.MetricsOn() {
 			telemetry.ObserveSeconds("tile_duration_seconds", time.Since(start).Seconds())
 		}
-		tick.Tick()
-		return nil
-	})
-	if err != nil {
-		rep.Done(tick.Count())
-		return nil, err
+		rep.Tick(int64(idx + 1))
 	}
 	rep.Done(int64(len(parts)))
 	return out, nil
-}
-
-// EstimateTiledIntegral2D computes the statistics with the tiled variant of
-// the §3.2.1 quadrature: each tile gets its own 2-D rectangular integral
-// over its sub-die, and cross-tile covariance is evaluated at tile-centroid
-// granularity. Unlike the tiled linear method this is an approximation —
-// the centroid collapse ignores within-tile position spread across tile
-// pairs — and is envelope-gated by the conformance harness rather than
-// held to bitwise identity.
-func (m *Model) EstimateTiledIntegral2D(tiles int, tileGates []int) (Result, error) {
-	return m.EstimateTiledIntegral2DCtx(context.Background(), tiles, tileGates)
-}
-
-// EstimateTiledIntegral2DCtx is EstimateTiledIntegral2D with stage telemetry
-// attached to ctx.
-func (m *Model) EstimateTiledIntegral2DCtx(ctx context.Context, tiles int, tileGates []int) (Result, error) {
-	defer timeMethod(ctx, "integral2d-tiled", "estimate.integral2d-tiled")()
-	k, cols, parts, counts, err := m.tileGrid(tiles, tileGates)
-	if err != nil {
-		return Result{}, err
-	}
-	telemetry.SpanAttrInt(ctx, "tiles", int64(len(parts)))
-	dw := m.Spec.W / float64(cols)
-	dh := m.Spec.H / float64(k)
-	grid := placement.Grid{Rows: k, Cols: cols, SiteW: dw, SiteH: dh}
-
-	across := 0
-	for _, t := range parts {
-		if t.Row0 == parts[0].Row0 {
-			across++
-		} else {
-			break
-		}
-	}
-
-	// Per-tile self terms: the Eq. 20 integral on each tile's own sub-die.
-	stats := make([]TileStat, len(parts))
-	variance := 0.0
-	for idx, t := range parts {
-		start := time.Now()
-		nt := float64(counts[idx])
-		w := float64(t.Cols()) * dw
-		h := float64(t.Rows()) * dh
-		area := w * h
-		var vt float64
-		if counts[idx] > 0 && area > 0 {
-			integrand := func(x, y float64) float64 {
-				return (w - x) * (h - y) * m.CovAtCorr(m.Proc.TotalCorr(math.Hypot(x, y)))
-			}
-			nx, ny := m.tilePanels(w, h)
-			integral := quad.Integrate2D(integrand, 0, w, 0, h, nx, ny)
-			vt = 4 * nt * nt / (area * area) * integral
-			if vt < 0 {
-				vt = 0
-			}
-		}
-		variance += vt
-		stats[idx] = TileStat{
-			Index: idx,
-			Row:   idx / across,
-			Col:   idx % across,
-			Gates: counts[idx],
-			Mean:  nt * m.mu,
-			Std:   math.Sqrt(vt),
-		}
-		if telemetry.MetricsOn() {
-			telemetry.ObserveSeconds("tile_duration_seconds", time.Since(start).Seconds())
-		}
-	}
-
-	// Cross-tile terms at centroid granularity: n_t·n_u·C_XI(d(centroids)).
-	for a := 0; a < len(parts); a++ {
-		if counts[a] == 0 {
-			continue
-		}
-		xa, ya := parts[a].Centroid(grid)
-		for b := a + 1; b < len(parts); b++ {
-			if counts[b] == 0 {
-				continue
-			}
-			xb, yb := parts[b].Centroid(grid)
-			d := math.Hypot(xa-xb, ya-yb)
-			cov := m.CovAtCorr(m.Proc.TotalCorr(d))
-			if cov == 0 {
-				continue
-			}
-			variance += 2 * float64(counts[a]) * float64(counts[b]) * cov
-		}
-	}
-	if variance < 0 {
-		variance = 0
-	}
-	n := float64(m.Spec.N)
-	return Result{
-		Mean:      n * m.mu,
-		Std:       math.Sqrt(variance),
-		Method:    "integral2d-tiled",
-		Note:      fmt.Sprintf("%d tiles, centroid cross terms", len(parts)),
-		TileStats: stats,
-	}.checkFinite("core.EstimateTiledIntegral2D")
-}
-
-// tilePanels sizes a tile's quadrature grid the same way panelCounts sizes
-// the monolithic one, but for the tile's own extents.
-func (m *Model) tilePanels(w, h float64) (nx, ny int) {
-	lam := m.Proc.EffectiveRange(0.1)
-	if lam <= 0 {
-		lam = math.Max(w, h)
-	}
-	scale := func(extent float64) int {
-		p := int(math.Ceil(4 * extent / lam))
-		if p < 6 {
-			p = 6
-		}
-		if p > 48 {
-			p = 48
-		}
-		return p
-	}
-	return scale(w), scale(h)
 }

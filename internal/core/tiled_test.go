@@ -9,9 +9,43 @@ import (
 	"leakest/internal/placement"
 )
 
+// tileLagCounts regroups the ordered site-pair population of one dimension
+// by lag, assembling it from the tile decomposition: for every ordered pair
+// of tile intervals [s₁,e₁)×[s₂,e₂) and every lag i, the pairs (c, c+i)
+// with c in the first interval and c+i in the second number
+// max(0, min(e₁, e₂−i) − max(s₁, s₂−i)). Summed over all interval pairs
+// (and doubled for i > 0 to cover the −i direction) this reproduces the
+// monolithic lag population exactly: lc[0] = dim, lc[i] = 2·(dim − i). It
+// is the §16 identity that makes a per-tile combination of Eq. 17 bitwise
+// the monolithic sum, and why tiling is diagnostics only.
+func tileLagCounts(edges []int, dim int) []int64 {
+	t := len(edges) - 1
+	lc := make([]int64, dim)
+	for a := 0; a < t; a++ {
+		for b := 0; b < t; b++ {
+			s1, e1 := edges[a], edges[a+1]
+			s2, e2 := edges[b], edges[b+1]
+			lo := max(0, s2-(e1-1))
+			hi := min(dim-1, e2-1-s1)
+			for i := lo; i <= hi; i++ {
+				ov := min(e1, e2-i) - max(s1, s2-i)
+				if ov <= 0 {
+					continue
+				}
+				if i == 0 {
+					lc[0] += int64(ov)
+				} else {
+					lc[i] += 2 * int64(ov)
+				}
+			}
+		}
+	}
+	return lc
+}
+
 // TestTileLagCountsClosedForm checks the decomposition identity the tiled
-// linear method rests on: assembling the per-lag ordered-pair population
-// from the tile intervals reproduces the closed forms lc[0] = dim and
+// pipeline rests on: assembling the per-lag ordered-pair population from
+// the tile intervals reproduces the closed forms lc[0] = dim and
 // lc[i] = 2·(dim − i) exactly, for every tile count.
 func TestTileLagCountsClosedForm(t *testing.T) {
 	for _, dim := range []int{1, 2, 5, 17, 64, 100} {
@@ -30,10 +64,12 @@ func TestTileLagCountsClosedForm(t *testing.T) {
 	}
 }
 
-// TestTiledLinearBitwiseEqualsMonolithic is the §16 exactness contract: the
-// tiled linear estimator must reproduce the monolithic result bit for bit
-// at every tile count and worker count, on square, occupancy-scaled, and
-// degenerate specs.
+// TestTiledLinearBitwiseEqualsMonolithic is the §16 exactness contract: at
+// every tile count the tile-interval lag populations, multiplied across the
+// two axes, equal Eq. 17's count·(cols−i)(rows−j) integer-for-integer, so a
+// tiled lag loop would reproduce EstimateLinear's bits; and attaching tile
+// stats at any tile and worker count leaves the linear result untouched, on
+// square, occupancy-scaled, and degenerate specs.
 func TestTiledLinearBitwiseEqualsMonolithic(t *testing.T) {
 	lib := testLib(t)
 	proc := testProcess()
@@ -44,37 +80,45 @@ func TestTiledLinearBitwiseEqualsMonolithic(t *testing.T) {
 		{Hist: testHist(t), N: 257, W: 300, H: 9, SignalProb: 0.3}, // skinny, prime N
 	}
 	for _, spec := range specs {
-		mono, err := NewModel(lib, proc, spec, Analytic)
+		m, err := NewModel(lib, proc, spec, Analytic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := mono.EstimateLinear()
+		want, err := m.EstimateLinear()
 		if err != nil {
 			t.Fatal(err)
 		}
+		rows, cols := m.modelGrid()
 		for _, tiles := range []int{1, 2, 3, 5} {
+			or := tileLagCounts(placement.TileEdges(rows, tiles), rows)
+			oc := tileLagCounts(placement.TileEdges(cols, tiles), cols)
+			for i := 0; i < cols; i++ {
+				for j := 0; j < rows; j++ {
+					count := int64(4)
+					if i == 0 || j == 0 {
+						count = 2
+					}
+					if i == 0 && j == 0 {
+						count = 1
+					}
+					if got, mono := oc[i]*or[j], count*int64((cols-i)*(rows-j)); got != mono {
+						t.Fatalf("spec N=%d tiles=%d lag (%d,%d): tiled pairs %d, Eq. 17 %d",
+							spec.N, tiles, i, j, got, mono)
+					}
+				}
+			}
 			for _, workers := range []int{1, 4} {
-				m, err := NewModel(lib, proc, spec, Analytic)
-				if err != nil {
-					t.Fatal(err)
-				}
 				m.Workers = workers
-				got, err := m.EstimateTiled(tiles, nil)
+				if _, err := m.TileStatsCtx(context.Background(), tiles, nil); err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.EstimateLinear()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Mean != want.Mean || got.Std != want.Std {
-					t.Fatalf("spec N=%d tiles=%d workers=%d: tiled (%.17g, %.17g) != monolithic (%.17g, %.17g)",
-						spec.N, tiles, workers, got.Mean, got.Std, want.Mean, want.Std)
-				}
-				if got.Method != "linear-tiled" {
-					t.Fatalf("method = %q", got.Method)
-				}
-				if got.GridRows != want.GridRows || got.GridCols != want.GridCols {
-					t.Fatalf("grid mismatch: %dx%d vs %dx%d", got.GridRows, got.GridCols, want.GridRows, want.GridCols)
-				}
-				if got.Note != want.Note {
-					t.Fatalf("note mismatch: %q vs %q", got.Note, want.Note)
+				if got.Mean != want.Mean || got.Std != want.Std || got.Note != want.Note {
+					t.Fatalf("spec N=%d tiles=%d workers=%d: linear moved to (%.17g, %.17g)",
+						spec.N, tiles, workers, got.Mean, got.Std)
 				}
 			}
 		}
@@ -87,8 +131,11 @@ func TestTiledLinearBitwiseEqualsMonolithic(t *testing.T) {
 // perfectly-correlated limit.
 func TestTiledTileStats(t *testing.T) {
 	m := newTestModel(t, 576, Analytic)
-	res, err := m.EstimateTiled(3, nil)
+	res, err := m.EstimateLinear()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TileStats, err = m.TileStatsCtx(context.Background(), 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.TileStats) != 9 {
@@ -138,25 +185,14 @@ func TestTiledTileStats(t *testing.T) {
 // (the streaming path does this) and checks validation of bad slices.
 func TestTiledExplicitGateCounts(t *testing.T) {
 	m := newTestModel(t, 576, Analytic)
-	mono, err := m.EstimateLinear()
+	ctx := context.Background()
+	// A skewed but valid allocation: the tile stats must reflect the counts.
+	counts := []int{500, 50, 25, 1}
+	stats, err := m.TileStatsCtx(ctx, 2, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A skewed but valid allocation: global moments must be unchanged
-	// (they depend only on N), tile stats must reflect the counts.
-	counts := make([]int, 4)
-	counts[0] = 500
-	counts[1] = 50
-	counts[2] = 25
-	counts[3] = 1
-	res, err := m.EstimateTiled(2, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mean != mono.Mean || res.Std != mono.Std {
-		t.Fatalf("explicit counts changed global moments")
-	}
-	for i, ts := range res.TileStats {
+	for i, ts := range stats {
 		if ts.Gates != counts[i] {
 			t.Fatalf("tile %d gates %d, want %d", i, ts.Gates, counts[i])
 		}
@@ -168,11 +204,11 @@ func TestTiledExplicitGateCounts(t *testing.T) {
 		{-1, 577, 0, 0},
 		{100, 100, 100, 100},
 	} {
-		if _, err := m.EstimateTiled(2, bad); !lkerr.IsCode(err, lkerr.InvalidInput) {
+		if _, err := m.TileStatsCtx(ctx, 2, bad); !lkerr.IsCode(err, lkerr.InvalidInput) {
 			t.Fatalf("counts %v: got %v, want InvalidInput", bad, err)
 		}
 	}
-	if _, err := m.EstimateTiled(0, nil); !lkerr.IsCode(err, lkerr.InvalidInput) {
+	if _, err := m.TileStatsCtx(ctx, 0, nil); !lkerr.IsCode(err, lkerr.InvalidInput) {
 		t.Fatalf("tiles=0: want InvalidInput")
 	}
 }
@@ -198,40 +234,13 @@ func TestAllocateTileGates(t *testing.T) {
 	}
 }
 
-// TestTiledIntegralCloseToMonolithic envelope-gates the centroid-granular
-// quadrature variant against the monolithic 2-D integral: on the chip-scale
-// correlation process the centroid collapse must stay within a few percent.
-func TestTiledIntegralCloseToMonolithic(t *testing.T) {
-	m := newTestModel(t, 576, Analytic)
-	mono, err := m.EstimateIntegral2D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tiles := range []int{2, 3, 4} {
-		res, err := m.EstimateTiledIntegral2D(tiles, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Mean != mono.Mean {
-			t.Fatalf("tiles=%d: mean %g != %g", tiles, res.Mean, mono.Mean)
-		}
-		relErr := math.Abs(res.Std-mono.Std) / mono.Std
-		if relErr > 0.05 {
-			t.Fatalf("tiles=%d: tiled integral std %g vs monolithic %g (%.2f%% off)",
-				tiles, res.Std, mono.Std, 100*relErr)
-		}
-		if res.Method != "integral2d-tiled" {
-			t.Fatalf("method %q", res.Method)
-		}
-	}
-}
-
-// TestTiledCancellation checks the lag loop honors context cancellation.
+// TestTiledCancellation checks the tile lag loop honors context
+// cancellation.
 func TestTiledCancellation(t *testing.T) {
 	m := newTestModel(t, 576, Analytic)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.EstimateTiledCtx(ctx, 2, nil); !lkerr.IsCode(err, lkerr.Canceled) {
+	if _, err := m.TileStatsCtx(ctx, 2, nil); !lkerr.IsCode(err, lkerr.Canceled) {
 		t.Fatalf("got %v, want Canceled", err)
 	}
 }

@@ -21,15 +21,6 @@ func (t Tile) Contains(row, col int) bool {
 	return row >= t.Row0 && row < t.Row1 && col >= t.Col0 && col < t.Col1
 }
 
-// Centroid returns the tile's geometric center in die coordinates under
-// the given grid's site pitch — the point the inter-tile covariance is
-// evaluated at for the centroid-granularity estimators.
-func (t Tile) Centroid(g Grid) (x, y float64) {
-	x = (float64(t.Col0+t.Col1) / 2) * g.SiteW
-	y = (float64(t.Row0+t.Row1) / 2) * g.SiteH
-	return x, y
-}
-
 // TileEdges returns the t+1 partition boundaries of a dimension of extent
 // dim: edges[i] = i·dim/t, so consecutive tiles differ in size by at most
 // one site and the union covers [0, dim) exactly. t is clamped to [1, dim]

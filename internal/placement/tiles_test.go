@@ -71,12 +71,3 @@ func TestPartitionCovers(t *testing.T) {
 		}
 	}
 }
-
-func TestTileCentroid(t *testing.T) {
-	g := Grid{Rows: 10, Cols: 10, SiteW: 2, SiteH: 3}
-	tile := Tile{Row0: 0, Row1: 5, Col0: 5, Col1: 10}
-	x, y := tile.Centroid(g)
-	if x != 15 || y != 7.5 {
-		t.Fatalf("Centroid = (%g, %g), want (15, 7.5)", x, y)
-	}
-}

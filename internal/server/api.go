@@ -56,11 +56,11 @@ type EstimateRequest struct {
 	// Tail requests distribution-tail statistics from the Monte-Carlo run
 	// (requires Bench and MCSamples).
 	Tail *TailRequest `json:"tail,omitempty"`
-	// Tiles activates the §16 tiled pipeline: the die is partitioned T×T,
-	// estimated per tile, and combined exactly through the inter-tile
-	// covariance. Valid with the linear, auto, and integral methods (the
-	// tiled linear result is bitwise identical to the monolithic one) and
-	// with mc_samples; incompatible with polar, naive, and truth.
+	// Tiles requests the §16 per-tile breakdown: the die is partitioned
+	// T×T and each tile gets its standalone linear-method moments. It rides
+	// along with any method and never changes the served moments; with
+	// mc_samples it switches the Monte Carlo to per-tile field sampling.
+	// Incompatible with truth.
 	Tiles *TilesRequest `json:"tiles,omitempty"`
 	// SignalProb applies to all inputs; omitted selects the
 	// leakage-maximizing (conservative) setting.
@@ -99,10 +99,10 @@ type TailRequest struct {
 	ISTrials int `json:"is_trials,omitempty"`
 }
 
-// TilesRequest configures the tiled estimation pipeline.
+// TilesRequest configures the per-tile breakdown and the tiled Monte Carlo.
 type TilesRequest struct {
 	// T is the per-axis tile count; the die is partitioned into at most T×T
-	// tiles. 0 and 1 mean monolithic.
+	// tiles. 0 and 1 request no breakdown and the monolithic Monte Carlo.
 	T int `json:"t"`
 	// PerTile additionally returns the per-tile moment breakdown in
 	// result.tile_stats.
@@ -168,14 +168,8 @@ func (r *EstimateRequest) validate() error {
 		if r.Tiles.T < 0 {
 			return lkerr.New(lkerr.InvalidInput, op, "negative tile count %d", r.Tiles.T)
 		}
-		if r.Tiles.T > 1 {
-			if r.Method == "polar" || r.Method == "naive" {
-				return lkerr.New(lkerr.InvalidInput, op,
-					"method %q does not support tiling; use linear, auto, or integral", r.Method)
-			}
-			if r.Truth {
-				return lkerr.New(lkerr.InvalidInput, op, "truth is monolithic; drop tiles or truth")
-			}
+		if r.Tiles.T > 1 && r.Truth {
+			return lkerr.New(lkerr.InvalidInput, op, "truth is monolithic; drop tiles or truth")
 		}
 	}
 	if r.Process != nil {

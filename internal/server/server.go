@@ -591,9 +591,9 @@ func (s *Server) conformance(ctx context.Context, est *leakest.Estimator, design
 		meanTol = 1e-6
 		stdTol  = 0.35
 	)
-	// The reference rungs (naive, integral) are always run monolithically:
-	// they exist to cross-check the served moments, and the tiled linear is
-	// bitwise identical to the monolithic one anyway.
+	// The reference rungs (naive, integral) run without a tile breakdown:
+	// they exist to cross-check the served moments, which tiling never
+	// changes.
 	if est.Tiles > 1 {
 		mono := *est
 		mono.Tiles = 0
@@ -611,7 +611,7 @@ func (s *Server) conformance(ctx context.Context, est *leakest.Estimator, design
 	}
 	// σ check only when an exact rung served; the integral rung IS the
 	// reference, and naive σ ignores correlation entirely.
-	if served.Method == "linear" || served.Method == "linear-tiled" || served.Method == "true-n2" {
+	if served.Method == "linear" || served.Method == "true-n2" {
 		iref, err := est.EstimateContext(ctx, design, leakest.Integral2D)
 		if err == nil {
 			body.Reference = "naive-mean+integral-std"

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestEstimateTiles: a tiles block routes the request through the tiled
-// pipeline — the served moments equal the monolithic linear ones bitwise,
-// and per_tile returns the tile breakdown.
+// TestEstimateTiles: a tiles block attaches the tile breakdown — the served
+// moments and method equal the monolithic ones bitwise, and per_tile
+// returns the breakdown.
 func TestEstimateTiles(t *testing.T) {
 	s := coreServer(t, Config{})
 	mono := decodeResp(t, do(t, s, "POST", "/v1/estimate", histRequest(500)))
@@ -20,8 +20,8 @@ func TestEstimateTiles(t *testing.T) {
 	}
 	resp := decodeResp(t, rec)
 	r := resp.Result
-	if r.Method != "linear-tiled" {
-		t.Errorf("method %q, want linear-tiled", r.Method)
+	if r.Method != mono.Result.Method {
+		t.Errorf("method %q, want %q", r.Method, mono.Result.Method)
 	}
 	if r.Mean != mono.Result.Mean || r.Std != mono.Result.Std {
 		t.Errorf("tiled moments (%v, %v) != monolithic (%v, %v)",
@@ -38,7 +38,19 @@ func TestEstimateTiles(t *testing.T) {
 		t.Errorf("tile stats cover %d gates, want 500", gates)
 	}
 	if resp.Conformance == nil || resp.Conformance.Status != "ok" {
-		t.Errorf("conformance %+v, want ok (σ check must accept linear-tiled)", resp.Conformance)
+		t.Errorf("conformance %+v, want ok (σ check must run on the tiled linear)", resp.Conformance)
+	}
+
+	// Naive (like polar) accepts the breakdown and still answers itself.
+	naive := histRequest(500)
+	naive["method"] = "naive"
+	naive["tiles"] = map[string]any{"t": 2}
+	rec = do(t, s, "POST", "/v1/estimate", naive)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("naive with tiles: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if r := decodeResp(t, rec).Result; r.Method != "naive-independent" || r.Tiles != 4 {
+		t.Errorf("naive with tiles: method %q, tiles %d", r.Method, r.Tiles)
 	}
 
 	// Without per_tile the breakdown stays off the wire but the count shows.
@@ -65,7 +77,8 @@ func TestEstimateTilesMonteCarlo(t *testing.T) {
 	}
 }
 
-// TestEstimateTilesRejected: the tiles validation refusals.
+// TestEstimateTilesRejected: the tiles validation refusals. Polar and naive
+// accept a tile breakdown like every other method.
 func TestEstimateTilesRejected(t *testing.T) {
 	s := coreServer(t, Config{})
 	cases := []struct {
@@ -73,8 +86,6 @@ func TestEstimateTilesRejected(t *testing.T) {
 		body map[string]any
 	}{
 		{"negative t", map[string]any{"bench": c17, "tiles": map[string]any{"t": -1}}},
-		{"tiles with polar", map[string]any{"bench": c17, "method": "polar", "tiles": map[string]any{"t": 2}}},
-		{"tiles with naive", map[string]any{"bench": c17, "method": "naive", "tiles": map[string]any{"t": 2}}},
 		{"tiles with truth", map[string]any{"bench": c17, "truth": true, "tiles": map[string]any{"t": 2}}},
 	}
 	for _, tc := range cases {

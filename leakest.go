@@ -213,17 +213,14 @@ type Estimator struct {
 	// chipmc.TailConfig); 0 estimates the exceedance from the primary
 	// trials alone. Requires Spec > 0.
 	TailTrials int
-	// Tiles > 1 activates the tiled pipeline of DESIGN.md §16: the die is
-	// partitioned into a Tiles×Tiles arrangement, per-tile moments are
-	// estimated independently, and the chip-level moments are combined
-	// through the inter-tile covariance. For Linear (and Auto) the
-	// combination is exact — bitwise identical to the monolithic estimator
-	// at any tile or worker count — and the Result additionally carries
-	// per-tile statistics in Result.TileStats. Integral2D gains centroid
-	// cross terms; Polar and Naive do not tile and are refused. MonteCarlo
-	// runs switch to per-tile FFT field sampling, lifting the gate budget
-	// to millions (see chipmc.DefaultMaxGatesTiled). 0 and 1 select the
-	// monolithic paths.
+	// Tiles > 1 requests the per-tile breakdown of DESIGN.md §16: the RG
+	// array is partitioned into a Tiles×Tiles arrangement and
+	// Result.TileStats carries each tile's standalone linear-method moments.
+	// The breakdown rides along with any method; Mean, Std and Method are
+	// those of the estimator that answered, tiled or not. MonteCarlo runs
+	// switch to per-tile FFT field sampling, lifting the gate budget to
+	// millions (see chipmc.DefaultMaxGatesTiled). 0 and 1 request no
+	// breakdown.
 	Tiles int
 }
 
@@ -312,22 +309,25 @@ func (e *Estimator) EstimateContext(ctx context.Context, design Design, method M
 	return res, nil
 }
 
+// dispatch runs the chosen estimator and, when Tiles > 1, attaches the
+// per-tile breakdown; the tiling never changes which estimator answers.
 func (e *Estimator) dispatch(ctx context.Context, m *core.Model, method Method) (Result, error) {
 	if e.Tiles < 0 {
 		return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.Estimate",
 			"negative Tiles %d", e.Tiles)
 	}
-	if e.Tiles > 1 {
-		switch method {
-		case Linear, Auto:
-			return m.EstimateTiledCtx(ctx, e.Tiles, nil)
-		case Integral2D:
-			return m.EstimateTiledIntegral2DCtx(ctx, e.Tiles, nil)
-		default:
-			return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.Estimate",
-				"method %s does not support tiling; use linear, auto, or integral-2d", method)
-		}
+	res, err := estimateWith(ctx, m, method)
+	if err != nil || e.Tiles <= 1 {
+		return res, err
 	}
+	if res.TileStats, err = m.TileStatsCtx(ctx, e.Tiles, nil); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// estimateWith runs one estimation method on the model.
+func estimateWith(ctx context.Context, m *core.Model, method Method) (Result, error) {
 	switch method {
 	case Linear:
 		return m.EstimateLinearCtx(ctx)

@@ -42,44 +42,40 @@ func mustHist(t *testing.T, w map[string]float64) *Histogram {
 	return h
 }
 
-// TestEstimatorTiles: the public Tiles knob routes linear/auto/integral to
-// the tiled estimators — bitwise equal moments for linear — and refuses the
-// untileable methods.
+// TestEstimatorTiles: the public Tiles knob attaches a tile breakdown to
+// every method — linear, auto, integral, polar and naive alike — and never
+// changes the moments or the method that answered.
 func TestEstimatorTiles(t *testing.T) {
-	est, nl, pl := tiledTestEstimator(t, 120)
-	design, err := est.ExtractDesign(nl, pl, 0.5)
+	base, nl, pl := tiledTestEstimator(t, 120)
+	design, err := base.ExtractDesign(nl, pl, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := est.Estimate(design, Linear)
+	// A correlation range inside the die, so the polar integral applies.
+	proc := *base.Process()
+	proc.WIDCorr = TruncatedExpCorr{Lambda: 2, R: 8}
+	est, err := NewEstimator(base.Library(), &proc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est.Tiles = 3
-	for _, method := range []Method{Linear, Auto} {
+	for _, method := range []Method{Linear, Auto, Integral2D, Polar, Naive} {
+		est.Tiles = 0
+		mono, err := est.Estimate(design, method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est.Tiles = 3
 		tiled, err := est.Estimate(design, method)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tiled.Mean != mono.Mean || tiled.Std != mono.Std {
-			t.Fatalf("%s tiled moments (%v, %v) != monolithic (%v, %v)",
-				method, tiled.Mean, tiled.Std, mono.Mean, mono.Std)
+		if tiled.Mean != mono.Mean || tiled.Std != mono.Std || tiled.Method != mono.Method {
+			t.Fatalf("%s: tiled %s (%v, %v) != monolithic %s (%v, %v)", method,
+				tiled.Method, tiled.Mean, tiled.Std, mono.Method, mono.Mean, mono.Std)
 		}
-		if tiled.Method != "linear-tiled" {
-			t.Fatalf("method %q, want linear-tiled", tiled.Method)
-		}
-		if len(tiled.TileStats) != 9 {
-			t.Fatalf("%d tile stats, want 9", len(tiled.TileStats))
-		}
-	}
-	if res, err := est.Estimate(design, Integral2D); err != nil {
-		t.Fatal(err)
-	} else if res.Method != "integral2d-tiled" {
-		t.Fatalf("method %q, want integral2d-tiled", res.Method)
-	}
-	for _, method := range []Method{Polar, Naive} {
-		if _, err := est.Estimate(design, method); !lkerr.IsCode(err, lkerr.InvalidInput) {
-			t.Fatalf("%s with Tiles=3: got %v, want InvalidInput", method, err)
+		if len(tiled.TileStats) != 9 || mono.TileStats != nil {
+			t.Fatalf("%s: %d tile stats tiled, %d monolithic; want 9 and 0",
+				method, len(tiled.TileStats), len(mono.TileStats))
 		}
 	}
 	est.Tiles = -3
@@ -92,7 +88,7 @@ func TestEstimatorTiles(t *testing.T) {
 }
 
 // TestEstimateStream: the one-pass streaming estimator reproduces the
-// in-memory tiled (and hence monolithic linear) result bitwise, because the
+// in-memory linear result bitwise, because the
 // stream header carries the same (histogram, N, W, H) the extractor derives.
 func TestEstimateStream(t *testing.T) {
 	est, nl, pl := tiledTestEstimator(t, 90)
@@ -113,7 +109,7 @@ func TestEstimateStream(t *testing.T) {
 		t.Fatalf("streamed (%v, %v) != in-memory linear (%v, %v)",
 			streamed.Mean, streamed.Std, mono.Mean, mono.Std)
 	}
-	if streamed.Method != "linear-tiled" {
+	if streamed.Method != "linear" {
 		t.Fatalf("method %q", streamed.Method)
 	}
 	gates := 0
@@ -144,5 +140,32 @@ func TestMonteCarloTiles(t *testing.T) {
 	est.Sampler = SamplerDense
 	if _, err := est.MonteCarlo(nl, pl, 0.5, 24, 7); !lkerr.IsCode(err, lkerr.InvalidInput) {
 		t.Fatalf("tiled+dense: got %v, want InvalidInput", err)
+	}
+}
+
+// TestEstimatorAutoTilesKeepsMethod: tiling attaches per-tile stats to the
+// estimator Auto picks; it never swaps the estimator. At 5 000 gates Auto
+// answers with a constant-time integral, tiled or not.
+func TestEstimatorAutoTilesKeepsMethod(t *testing.T) {
+	est, _, _ := tiledTestEstimator(t, 16)
+	design := Design{
+		Hist: mustHist(t, map[string]float64{"INV_X1": 2, "NAND2_X1": 3, "NOR2_X1": 1}),
+		N:    5000, W: 700, H: 500, SignalProb: 0.5,
+	}
+	mono, err := est.Estimate(design, Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est.Tiles = 3
+	tiled, err := est.Estimate(design, Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiled.Method != mono.Method || tiled.Mean != mono.Mean || tiled.Std != mono.Std {
+		t.Fatalf("Tiles=3 gave %s (%v, %v), Tiles=0 gave %s (%v, %v)",
+			tiled.Method, tiled.Mean, tiled.Std, mono.Method, mono.Mean, mono.Std)
+	}
+	if len(tiled.TileStats) != 9 {
+		t.Fatalf("%d tile stats, want 9", len(tiled.TileStats))
 	}
 }
