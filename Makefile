@@ -58,21 +58,18 @@ tail-conformance:
 	$(GO) test -race . -run 'TestDeterminismTail|TestTailAccumulatorRaceHammer'
 	$(GO) test -race ./internal/conformance/ -run 'TestTail'
 
-# tiled-conformance is the race-enabled gate for the §16 tiled pipeline,
+# tiled-conformance is the race-enabled gate for the §16 tile breakdown,
 # bottom-up: the tile-partition and lag-count layers, the per-tile
-# statistics, the tiled Monte-Carlo field source (determinism, scratch
-# reuse, alloc pins), the streaming netlist reader (including its fuzz seed
-# corpus), then the statistical suite — tile breakdowns leave the moments
-# bitwise unchanged at several tile counts, tile-count and worker
-# invariance, the tiled MC law vs its serial pairwise reference, the
-# streaming round trip, and the mutation self-check — first under the race
-# detector, then via `leakest verify -tiled` at two worker counts (the
-# reports must be identical; the second run writes the JSON artifact CI
-# uploads).
+# statistics, the streaming netlist reader (including its fuzz seed corpus),
+# then the statistical suite — tile breakdowns leave the moments bitwise
+# unchanged at several tile counts, tile-count and worker invariance, the
+# streaming round trip, Monte Carlo unchanged by tiles, and the mutation
+# self-check — first under the race detector, then via `leakest verify
+# -tiled` at two worker counts (the reports must be identical; the second
+# run writes the JSON artifact CI uploads).
 tiled-conformance:
 	$(GO) test -race ./internal/placement/ -run 'Tile|Partition'
 	$(GO) test -race ./internal/core/ -run 'Tiled'
-	$(GO) test -race ./internal/chipmc/ -run 'Tiled'
 	$(GO) test -race ./internal/netlist/ -run 'Stream|ScanPlaced'
 	$(GO) test -race ./internal/conformance/ -run 'Tiled'
 	$(GO) test -race . -run 'TestEstimatorTiles|TestEstimatorAutoTilesKeepsMethod|TestEstimateStream|TestMonteCarloTiles'
@@ -88,8 +85,9 @@ server-smoke:
 
 # tracecheck pins the tracing layer's zero-overhead contract: with no trace,
 # no registry and no logger attached, every instrumentation hook — and the
-# chipmc trial loop they sit on, on every field source and the batched qmc
-# grid body — must be allocation-free. The AllocsPerRun tests fail on any
+# chipmc trial loop they sit on: the dense field sources and the one grid
+# pair body on pseudo-random, Sobol and tilted deviates — must be
+# allocation-free. The AllocsPerRun tests fail on any
 # regression, so this is the cheap CI gate for changes that touch the
 # disabled telemetry path.
 tracecheck:
@@ -124,7 +122,7 @@ race-parallel:
 # VM, to absorb CI-host noise; the Fig6 and TruthClassed budgets also sit
 # below the 4.75 s and 0.63 s of the per-pair truth they replaced) so a
 # perf regression in the estimators they sweep fails the target; add more
-# gates via BENCHJSON_FLAGS="-budget ChipMCTiled=60s" (see cmd/benchjson).
+# gates via BENCHJSON_FLAGS="-budget ChipMCMillion=60s" (see cmd/benchjson).
 BENCHJSON_BUDGETS = -budget Fig6=4s -budget Table1=5s -budget TruthClassed=500ms
 BENCHJSON_FLAGS ?=
 bench:

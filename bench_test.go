@@ -668,31 +668,29 @@ func BenchmarkTruthMillion(b *testing.B) {
 	b.ReportMetric(float64(telemetry.PeakAllocBytes()), "peak-bytes")
 }
 
-// BenchmarkChipMCTiled measures the tiled full-chip Monte Carlo at the
-// million-gate scale the monolithic FFT sampler refuses: per-tile trial
-// fields lift the gate limit to DefaultMaxGatesTiled while the per-worker
-// scratch keeps the trial body allocation-free. Reports the tile count and
-// the run's peak heap bytes alongside the usual figures.
-func BenchmarkChipMCTiled(b *testing.B) {
+// BenchmarkChipMCMillion measures the full-chip Monte Carlo at the
+// million-gate scale on the exact law: MonteCarloBudgeted lifts the gate
+// budget past DefaultMaxGatesFFT and every inverse FFT on the 2048² torus
+// yields a Dietrich–Newsam pair of trial fields. Reports the run's peak
+// heap bytes alongside the usual figures.
+func BenchmarkChipMCMillion(b *testing.B) {
 	lib := benchLib(b)
 	est, err := NewEstimator(lib, experiments.ChipProcess())
 	if err != nil {
 		b.Fatal(err)
 	}
 	est.Workers = envWorkers(b)
-	est.Tiles = 8
-	nl, pl := syntheticPlaced(b, 1000000)
-	tiles := len(placement.Partition(pl.Grid, est.Tiles))
+	const n = 1000000
+	nl, pl := syntheticPlaced(b, n)
 	telemetry.ResetPeakAlloc()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.MonteCarlo(nl, pl, 0.5, 32, 7); err != nil {
+		if _, err := est.MonteCarloBudgeted(context.Background(), nl, pl, 0.5, 32, 7, n); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	telemetry.SamplePeakAlloc()
-	b.ReportMetric(float64(tiles), "tiles")
 	b.ReportMetric(float64(telemetry.PeakAllocBytes()), "peak-bytes")
 }
 

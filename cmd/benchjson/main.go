@@ -41,7 +41,7 @@ var gateCounts = map[string]int{
 	"ChipMCQMC":            10000,
 	"TruthClassed":         11236, // 106², Fig. 6's largest size
 	"TruthMillion":         1000000,
-	"ChipMCTiled":          1000000,
+	"ChipMCMillion":        1000000,
 	"EstimateStream":       10000000,
 }
 
@@ -128,8 +128,9 @@ type Bench struct {
 	// (the "batch" unit BenchmarkChipMCQMC reports).
 	Batch int `json:"batch,omitempty"`
 	// Tiles is the tile count a tiled-pipeline benchmark ran with, and
-	// PeakBytes its high-water heap mark (the "tiles" and "peak-bytes"
-	// units of BenchmarkChipMCTiled and BenchmarkEstimateStream).
+	// PeakBytes a run's high-water heap mark (the "tiles" and "peak-bytes"
+	// units of BenchmarkEstimateStream, and "peak-bytes" of
+	// BenchmarkChipMCMillion and BenchmarkTruthMillion).
 	Tiles     int     `json:"tiles,omitempty"`
 	PeakBytes float64 `json:"peak_bytes,omitempty"`
 }

@@ -67,19 +67,16 @@ func TestParseLineQMCSamplerAndBatch(t *testing.T) {
 }
 
 func TestParseLineTilesAndPeakBytes(t *testing.T) {
-	line := "BenchmarkChipMCTiled-8 \t 1\t 905737340 ns/op\t 64 tiles\t 1.234e+08 peak-bytes"
+	line := "BenchmarkChipMCMillion-8 \t 1\t 905737340 ns/op\t 1.234e+08 peak-bytes"
 	b, ok := parseLine(line)
 	if !ok {
 		t.Fatalf("line not recognized")
-	}
-	if b.Tiles != 64 {
-		t.Errorf("tiles = %d, want 64", b.Tiles)
 	}
 	if b.PeakBytes != 1.234e8 {
 		t.Errorf("peak-bytes = %v, want 1.234e8", b.PeakBytes)
 	}
 	if b.Gates != 1000000 {
-		t.Errorf("gates = %d, want the ChipMCTiled design size", b.Gates)
+		t.Errorf("gates = %d, want the ChipMCMillion design size", b.Gates)
 	}
 	if len(b.Metrics) != 0 {
 		t.Errorf("promoted units must not also land in Metrics: %+v", b.Metrics)

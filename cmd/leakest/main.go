@@ -196,9 +196,9 @@ func main() {
 	truth := flag.Bool("truth", false, "late mode: also compute the O(n²) true leakage for comparison")
 	mc := flag.Int("mc", 0, "late mode: also run a full-chip Monte Carlo with this many samples")
 	samplerFlag := flag.String("sampler", "auto", "Monte-Carlo field sampler: auto|dense|fft|qmc")
-	tiles := flag.Int("tiles", 0, "partition the die T×T and report per-tile linear moments alongside any method (the chip moments do not change); with -mc, sample the field per tile; 0 or 1 = monolithic")
+	tiles := flag.Int("tiles", 0, "partition the die T×T and report per-tile linear moments alongside any method (the chip moments do not change; -mc ignores it); 0 or 1 = no breakdown")
 	streamPath := flag.String("stream", "", "streaming mode: one-pass estimate of a leakest-stream v1 file (die size and tiling come from its header)")
-	batch := flag.Int("batch", 0, "with -sampler qmc: trial fields per batched FFT pass; 0 = default")
+	batch := flag.Int("batch", 0, "with -mc on the FFT grid (fft, qmc, tail): trial fields per batched FFT pass, in pairs; 0 = default (results do not depend on it)")
 	spec := flag.Float64("spec", 0, "with -mc: leakage spec in A; report P[I_leak > spec] (yield at spec)")
 	quantilesFlag := flag.String("quantiles", "", "with -mc: comma-separated tail probabilities, e.g. \"0.5,0.95,0.999\"")
 	tailTrials := flag.Int("tail-trials", 0, "with -spec: importance-sampled deep-tail trial budget; 0 = plain MC only")

@@ -24,7 +24,7 @@ func runVerify(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 0, "override every random stream (0 = the shared characterization seed)")
 	jsonPath := fs.String("json", "", "write the full conformance report JSON to this path; \"-\" = stdout")
 	qmc := fs.Bool("qmc", false, "run the quasi-Monte-Carlo suite instead: scrambled-Sobol convergence, equal-SE ratio, and frozen-referee gates")
-	tiled := fs.Bool("tiled", false, "run the tiled-pipeline suite instead: tile breakdowns leave the moments bitwise unchanged, tile/worker invariance, streaming round trip, and the tiled MC law")
+	tiled := fs.Bool("tiled", false, "run the tiled-pipeline suite instead: tile breakdowns leave the moments bitwise unchanged, tile/worker invariance, and the streaming round trip")
 	skipMutation := fs.Bool("skip-mutation", false, "skip the mutation self-check (it roughly doubles the runtime)")
 	verbose := fs.Bool("v", false, "list every check, not just failures")
 	if err := fs.Parse(args); err != nil {

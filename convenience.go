@@ -284,27 +284,20 @@ func (e *Estimator) MonteCarlo(nl *Netlist, pl *Placement, signalProb float64, s
 // (beyond the selected sampler's gate limit) return a typed BudgetExceeded
 // error suggesting the analytic estimators.
 func (e *Estimator) MonteCarloContext(ctx context.Context, nl *Netlist, pl *Placement, signalProb float64, samples int, seed int64) (res MonteCarloResult, err error) {
-	defer lkerr.RecoverInto(&err, "leakest.MonteCarlo")
-	return chipmc.RunContext(ctx, chipmc.Config{
-		Lib:        e.lib,
-		Proc:       e.proc,
-		SignalProb: signalProb,
-		Samples:    samples,
-		Seed:       seed,
-		Workers:    e.Workers,
-		Sampler:    e.Sampler,
-		Batch:      e.Batch,
-		Tiles:      e.Tiles,
-		Tail:       e.tailConfig(),
-	}, nl, pl)
+	return e.MonteCarloBudgeted(ctx, nl, pl, signalProb, samples, seed, 0)
 }
 
 // MonteCarloBudgeted is MonteCarloContext with an explicit gate budget:
 // designs larger than maxGates are refused up front with a typed
 // BudgetExceeded error naming the limit, instead of attempting the field
-// construction. maxGates ≤ 0 selects the active sampler's default limit.
+// construction. maxGates 0 selects the active sampler's default limit.
+// Tiles never changes a Monte-Carlo run; only a negative count is refused.
 func (e *Estimator) MonteCarloBudgeted(ctx context.Context, nl *Netlist, pl *Placement, signalProb float64, samples int, seed int64, maxGates int) (res MonteCarloResult, err error) {
 	defer lkerr.RecoverInto(&err, "leakest.MonteCarlo")
+	if e.Tiles < 0 {
+		return MonteCarloResult{}, lkerr.New(lkerr.InvalidInput, "leakest.MonteCarlo",
+			"negative Tiles %d", e.Tiles)
+	}
 	return chipmc.RunContext(ctx, chipmc.Config{
 		Lib:        e.lib,
 		Proc:       e.proc,
@@ -315,7 +308,6 @@ func (e *Estimator) MonteCarloBudgeted(ctx context.Context, nl *Netlist, pl *Pla
 		Workers:    e.Workers,
 		Sampler:    e.Sampler,
 		Batch:      e.Batch,
-		Tiles:      e.Tiles,
 		Tail:       e.tailConfig(),
 	}, nl, pl)
 }

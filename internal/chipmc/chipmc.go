@@ -7,20 +7,20 @@
 // distribution. It validates the O(n²) "true leakage" analytics beyond the
 // paper's own validation and powers the Vt-ablation experiment.
 //
-// Every trial but the batched qmc grid body (qmc.go) runs through one
-// engine (trialRunner): a field source fills the per-gate channel lengths,
-// then chipTotal draws each gate's state and Vt factor and sums the
-// leakage. The dense source factorizes the full n×n covariance (O(n³)
-// setup, O(n²) per trial) and is the historical, bitwise-frozen reference. The grid source exploits the regular placement
-// grid: the stationary WID kernel is circulant-embedded on a torus
-// (randvar.GridSampler), so setup is one 2-D FFT and each trial costs
+// Every trial runs through one engine (trialRunner), whose body depends on
+// the field route. The dense routes factorize the full n×n covariance
+// (O(n³) setup, O(n²) per trial): the joint dense source is the historical,
+// bitwise-frozen reference, and the split dense source is the importance-
+// sampled tail's proposal (tail.go). The grid route exploits the regular
+// placement grid: the stationary WID kernel is circulant-embedded on a
+// torus (randvar.GridSampler), so setup is one 2-D FFT and every inverse
+// transform yields two trial fields (Dietrich–Newsam pairs, grid.go) at
 // O(S log S) in the torus size S — raising the practical gate budget from
 // thousands to hundreds of thousands while sampling the same covariance at
 // every grid lag (exactly when the embedding torus affords the kernel's
 // support, within a hard-capped clamp bias otherwise; see
-// randvar.GridSampler). The tiled source (tiled.go) samples per tile, and
-// the split dense source is the importance-sampled tail's proposal
-// (tail.go).
+// randvar.GridSampler). Pseudo-random and scrambled-Sobol deviates are the
+// only difference between the fft and qmc grid routes.
 package chipmc
 
 import (
@@ -33,6 +33,7 @@ import (
 
 	"leakest/internal/charlib"
 	"leakest/internal/fault"
+	"leakest/internal/fft"
 	"leakest/internal/linalg"
 	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
@@ -137,10 +138,12 @@ type Config struct {
 	IncludeVt bool
 	// Sampler selects the field construction (default SamplerAuto).
 	Sampler Sampler
-	// Batch is the number of trial fields the qmc sampler pushes through
-	// one batched 2-D FFT pass (default DefaultBatch; rounded up to a whole
-	// number of Dietrich–Newsam pairs). Ignored by the other samplers.
-	// Results are bitwise independent of the batch size.
+	// Batch is the number of trial fields every grid route (fft, qmc and
+	// the tail's grid proposal) pushes through one batched 2-D FFT pass,
+	// rounded up to a whole number of Dietrich–Newsam pairs. 0 selects the
+	// largest pair count ≤ DefaultBatch/2 whose toruses fit in
+	// gridBatchBytes per worker. Ignored by the dense routes. Results are
+	// bitwise independent of the batch size.
 	Batch int
 	// QMCDegrade deliberately weakens the qmc deviate stream
 	// ("unscrambled" or "pseudo"; see randvar.NewSobolDegraded). It exists
@@ -165,16 +168,6 @@ type Config struct {
 	// is built fresh. The sampler must have been built for the same
 	// process (the embedding depends only on the WID kernel and the grid).
 	Prebuilt *randvar.GridSampler
-	// Tiles partitions the placement grid into a Tiles×Tiles arrangement
-	// and samples the within-die field per tile (WID-only sub-grid
-	// embeddings sharing one chip-wide D2D deviate per trial) instead of on
-	// one monolithic torus, so field memory scales with the largest tile
-	// rather than the die (DESIGN.md §16). Values ≤ 1 select the monolithic
-	// samplers (the historical behavior). Tiled sampling drops the
-	// within-die correlation of cross-tile gate pairs to the D2D floor — an
-	// approximation the conformance harness gates against an exact
-	// reference — and requires the fft or auto sampler.
-	Tiles int
 	// KeepTrials retains the per-trial chip totals in Result.Trials — the
 	// raw MC stream, used by the determinism suite and by distribution
 	// diagnostics. Off by default (costs 8 bytes per trial when on).
@@ -208,7 +201,8 @@ func (r Result) MeanSE() float64 { return stats.MeanSE(r.Std, r.Samples) }
 // somewhat larger; callers widen the z multiplier to absorb that.
 func (r Result) StdSE() float64 { return stats.StdSE(r.Std, r.Samples) }
 
-// gateState holds the per-gate sampling tables.
+// gateState holds one cell type's sampling tables at the run's signal
+// probability; every gate of the type shares it.
 type gateState struct {
 	states []*charlib.StateChar
 	cum    []float64
@@ -219,38 +213,47 @@ type gateState struct {
 const nvt = 1.4 * 0.0259
 
 // trialBuf is one worker's private trial state: a reusable PRNG (reseeded
-// per trial from the source's streams, which reproduces the historical
-// per-trial streams bitwise with zero allocations), the per-gate channel
-// lengths, and the scratch of whichever field source is active.
+// per trial or pair from the route's streams, which reproduces the
+// historical per-trial streams bitwise with zero allocations), the per-gate
+// channel lengths, and the scratch of whichever route is active.
 type trialBuf struct {
-	rng    *rand.Rand
-	ls     []float64              // per-gate channel lengths
-	z      []float64              // dense sources: standard-normal scratch
-	fields [][]float64            // grid sources: one per-site field per sampler
-	scs    []*randvar.GridScratch // grid sources: one FFT scratch per sampler
+	rng *rand.Rand
+	ls  []float64 // per-gate channel lengths
+	z   []float64 // dense routes: standard-normal scratch
+	// Grid route: a batch of pair toruses, the FFT scratch, one Sobol
+	// point's normals, the raw (z0a, z0b) of each pair in the batch, and
+	// the pair's two extracted fields.
+	toruses, scratch []complex128
+	zq, z0, fa, fb   []float64
 }
 
-// warmGrids allocates one field and FFT scratch per grid sampler.
-func (b *trialBuf) warmGrids(samplers []*randvar.GridSampler) {
-	b.fields = make([][]float64, len(samplers))
-	b.scs = make([]*randvar.GridScratch, len(samplers))
-	for i, gs := range samplers {
-		b.fields[i] = make([]float64, gs.Sites())
-		b.scs[i] = gs.NewScratch()
+// warm allocates a worker's buffers for the runner's route.
+func (b *trialBuf) warm(r *trialRunner) {
+	b.rng = rand.New(rand.NewSource(1))
+	b.ls = make([]float64, len(r.gates))
+	g := r.grid
+	if g == nil {
+		b.z = make([]float64, len(b.ls))
+		return
 	}
+	tm, tn := g.gs.TorusDims()
+	b.toruses = make([]complex128, g.batchPairs*g.gs.TorusLen())
+	b.scratch = make([]complex128, fft.Scratch2DLen(tm, tn))
+	b.zq = make([]float64, 2+2*len(g.modes))
+	b.z0 = make([]float64, 2*g.batchPairs)
+	b.fa = make([]float64, g.gs.Sites())
+	b.fb = make([]float64, g.gs.Sites())
 }
 
-// fieldSource draws the channel-length field of one trial. fill seeds the
-// worker RNG from the source's own streams, writes every gate's channel
-// length into b.ls with the shared D2D deviate tilted by θ, returns the raw
-// deviate z₀ (the importance weight's argument), and leaves the RNG
-// positioned for chipTotal's per-gate state and Vt draws. Only sources
-// that draw z₀ separately (split, grid, tiled) can be tilted; the joint
-// dense source refuses θ ≠ 0. Each source's draw order is part of the
-// bitwise determinism contract. warm allocates the source's scratch in a
-// fresh buffer whose ls is already sized.
+// fieldSource draws the channel-length field of one dense-route trial. fill
+// seeds the worker RNG from the source's own streams, writes every gate's
+// channel length into b.ls with the shared D2D deviate tilted by θ, returns
+// the raw deviate z₀ (the importance weight's argument), and leaves the RNG
+// positioned for chipTotal's per-gate state and Vt draws. Only the split
+// source draws z₀ separately and can be tilted; the joint dense source
+// refuses θ ≠ 0. Each source's draw order is part of the bitwise
+// determinism contract.
 type fieldSource interface {
-	warm(b *trialBuf)
 	fill(b *trialBuf, trial int, tilt float64) (z0 float64, err error)
 }
 
@@ -265,8 +268,6 @@ type denseSource struct {
 	seq    *randvar.SobolSeq
 	qdims  int
 }
-
-func (s *denseSource) warm(b *trialBuf) { b.z = make([]float64, len(b.ls)) }
 
 func (s *denseSource) fill(b *trialBuf, trial int, tilt float64) (float64, error) {
 	if tilt != 0 {
@@ -291,12 +292,6 @@ type splitSource struct {
 	stream     stats.Stream
 }
 
-func (s *splitSource) warm(b *trialBuf) {
-	if s.wid != nil {
-		b.z = make([]float64, len(b.ls))
-	}
-}
-
 func (s *splitSource) fill(b *trialBuf, trial int, tilt float64) (float64, error) {
 	b.rng.Seed(s.stream.SeedFor(trial))
 	z0 := b.rng.NormFloat64()
@@ -314,97 +309,97 @@ func (s *splitSource) fill(b *trialBuf, trial int, tilt float64) (float64, error
 	return z0, nil
 }
 
-// gridSource is the circulant-embedding field on the placement grid, read
-// out at each gate's site. SampleTiltedInto at θ = 0 is bitwise SampleInto.
-type gridSource struct {
-	gs     *randvar.GridSampler
-	sites  []int
-	stream stats.Stream
-}
-
-func (s *gridSource) warm(b *trialBuf) { b.warmGrids([]*randvar.GridSampler{s.gs}) }
-
-func (s *gridSource) fill(b *trialBuf, trial int, tilt float64) (float64, error) {
-	b.rng.Seed(s.stream.SeedFor(trial))
-	field := b.fields[0]
-	z0, err := s.gs.SampleTiltedInto(b.rng, b.scs[0], field, tilt)
-	if err != nil {
-		return 0, err
-	}
-	for g, site := range s.sites {
-		b.ls[g] = field[site]
-	}
-	return z0, nil
-}
-
-// trialRunner is the one trial engine: the gate tables, the field source,
-// and per-worker buffers. The primary trials and the importance-sampled
-// tail trials both run through it; they differ only in the source's
-// streams, the tilt, and what the caller does with z₀.
+// trialRunner is the one trial engine: the gate tables, the route's trial
+// body, and per-worker buffers. Exactly one of src (the dense routes, one
+// trial per work unit) and grid (the grid routes, one batch of pairs per
+// work unit) is set. The primary trials and the importance-sampled tail
+// trials both run through it; they differ only in the route's streams, the
+// tilt, and what the caller does with z₀.
 type trialRunner struct {
-	gates []gateState
+	gates []*gateState
 	src   fieldSource
+	grid  *gridBody
 	// sigmaVt is the Vt-fluctuation sigma when the ablation is enabled, 0
 	// otherwise.
 	sigmaVt float64
 	bufs    []trialBuf
 }
 
-// runTrial executes one chip-level trial on worker w at tilt θ, returning
-// the chip total and the raw D2D deviate. A worker's buffers are allocated
-// on its first trial; everything after is allocation-free (guarded by
-// TestTrialBodyAllocs).
-func (r *trialRunner) runTrial(w, trial int, tilt float64) (total, z0 float64, err error) {
-	b := &r.bufs[w]
-	if b.rng == nil {
-		b.rng = rand.New(rand.NewSource(1))
-		b.ls = make([]float64, len(r.gates))
-		r.src.warm(b)
-	}
-	if z0, err = r.src.fill(b, trial, tilt); err != nil {
-		return 0, 0, err
-	}
-	return chipTotal(r.gates, b.rng, b.ls, r.sigmaVt), z0, nil
+// pass is one fan-out's output: every trial's chip total and, on the
+// importance-sampled tail pass (z0s non-nil), every trial's raw D2D
+// deviate. The primary pass (z0s nil) is the chipmc/trial fault site and
+// ticks progress.
+type pass struct {
+	tilt   float64
+	totals []float64
+	z0s    []float64
+	count  *telemetry.Counter
+	tick   *parallel.Ticker
 }
 
-// fanOut runs trials [0, len(totals)) at tilt θ over the worker pool,
-// storing each chip total in its trial slot, and each raw D2D deviate in
-// z0s when it is non-nil (the tail pass). Every trial draws from its own
-// streams keyed by (Seed, trial), so the slots are bitwise identical at any
-// worker count; workers only race on disjoint slots and their private
-// buffers. The primary pass (z0s nil) is the chipmc/trial fault site and
-// ticks progress.
-func (r *trialRunner) fanOut(ctx context.Context, op string, workers int, tilt float64,
-	totals, z0s []float64, count *telemetry.Counter, tick *parallel.Ticker) error {
-	primary := z0s == nil
-	return parallel.ForEach(ctx, op, workers, len(totals), func(w, trial int) error {
-		count.Inc()
-		if primary {
-			fault.Hit(fault.SiteChipMCTrial)
-		}
-		total, z0, err := r.runTrial(w, trial, tilt)
-		if err != nil {
+// fanOut runs every trial of p over the worker pool. Every trial draws from
+// its own streams keyed by (Seed, trial or pair), so the slots are bitwise
+// identical at any worker count and batch size; workers only race on
+// disjoint slots and their private buffers.
+func (r *trialRunner) fanOut(ctx context.Context, op string, workers int, p *pass) error {
+	units := len(p.totals)
+	if r.grid != nil {
+		units = r.grid.batches(units)
+	}
+	return parallel.ForEach(ctx, op, workers, units, func(w, u int) error {
+		if err := r.unit(w, u, p); err != nil {
 			return lkerr.Wrap(lkerr.Numerical, op, err)
 		}
-		if primary {
-			total = fault.Corrupt(fault.SiteChipMCTrial, total)
-		} else {
-			z0s[trial] = z0
-		}
-		totals[trial] = total
-		tick.Tick()
 		return nil
 	})
+}
+
+// unit runs work unit u on worker w: trial u on a dense route, pair batch u
+// on a grid route. A worker's buffers are allocated on its first unit;
+// everything after is allocation-free (guarded by the TrialBodyAllocs
+// tests).
+func (r *trialRunner) unit(w, u int, p *pass) error {
+	b := &r.bufs[w]
+	if b.rng == nil {
+		b.warm(r)
+	}
+	if r.grid != nil {
+		return r.grid.batch(r, b, u, p)
+	}
+	z0, err := r.src.fill(b, u, p.tilt)
+	if err != nil {
+		return err
+	}
+	r.finish(p, b.rng, b.ls, u, z0)
+	return nil
+}
+
+// finish evaluates one trial whose channel lengths are in ls — rng is
+// positioned at the trial's per-gate state and Vt draws — and records its
+// chip total, and on the tail pass its raw D2D deviate z₀.
+func (r *trialRunner) finish(p *pass, rng *rand.Rand, ls []float64, trial int, z0 float64) {
+	p.count.Inc()
+	primary := p.z0s == nil
+	if primary {
+		fault.Hit(fault.SiteChipMCTrial)
+	}
+	total := chipTotal(r.gates, rng, ls, r.sigmaVt)
+	if primary {
+		total = fault.Corrupt(fault.SiteChipMCTrial, total)
+	} else {
+		p.z0s[trial] = z0
+	}
+	p.totals[trial] = total
+	p.tick.Tick()
 }
 
 // chipTotal evaluates the chip leakage of one sampled channel-length vector:
 // per-gate input state by inverse-CDF draw, leakage from the characterized
 // curve, optional Vt-fluctuation factor. Shared by every trial route; the
 // per-gate draw order is part of the bitwise determinism contract.
-func chipTotal(gates []gateState, rng *rand.Rand, ls []float64, sigmaVt float64) float64 {
+func chipTotal(gates []*gateState, rng *rand.Rand, ls []float64, sigmaVt float64) float64 {
 	total := 0.0
-	for g := range gates {
-		gs := &gates[g]
+	for g, gs := range gates {
 		st := gs.states[0]
 		if len(gs.states) > 1 {
 			u := rng.Float64()
@@ -487,24 +482,6 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Tiles < 0 {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op, "negative Tiles %d", cfg.Tiles)
-	}
-	if cfg.Tiles > 1 {
-		if cfg.Sampler == SamplerDense || cfg.Sampler == SamplerQMC {
-			return Result{}, lkerr.New(lkerr.InvalidInput, op,
-				"tiled sampling (Tiles=%d) requires the fft or auto sampler, got %s",
-				cfg.Tiles, cfg.Sampler)
-		}
-		if cfg.Tail != nil {
-			return Result{}, lkerr.New(lkerr.InvalidInput, op,
-				"tiled sampling does not support tail estimation; run with Tiles=0")
-		}
-		use = SamplerFFT
-		if cfg.MaxGates == 0 {
-			maxGates = DefaultMaxGatesTiled
-		}
-	}
 	if n > maxGates {
 		return Result{}, lkerr.New(lkerr.BudgetExceeded, op,
 			"%d gates exceed the %s-sampler limit MaxGates=%d; "+
@@ -555,100 +532,85 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 		runner.sigmaVt = cfg.Proc.SigmaVt
 	}
 	stream := stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#")
-	// grid is the monolithic grid source when one is active: the qmc grid
-	// body and the tail's grid proposal draw from its sampler.
-	var grid *gridSource
-	if cfg.Tiles > 1 {
-		if runner.src, err = newTiledSource(ctx, cfg, nl, pl); err != nil {
-			return Result{}, err
-		}
-		telemetry.SamplePeakAlloc()
-	} else {
-		// The qmc sampler rides the grid path on large designs (batched
-		// pair fields) and the dense path on small ones (direct
-		// low-discrepancy deviates), mirroring the auto threshold.
-		if use == SamplerFFT || (use == SamplerQMC && n > autoDenseLimit) {
-			gs, gerr := gridSetup(ctx, cfg, pl)
-			switch {
-			case gerr == nil:
-				grid = &gridSource{gs: gs, sites: pl.Site, stream: stream}
-				runner.src = grid
-			case cfg.Sampler == SamplerAuto && cfg.MaxGates != 0 && n <= cfg.MaxGates:
-				// The embedding failed, but the caller's explicit gate
-				// budget admits the dense path: degrade gracefully and
-				// record it.
-				telemetry.Add("chipmc_sampler_fallback_total", 1)
-				telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
-				use = SamplerDense
-			case use == SamplerQMC && cfg.MaxGates != 0 && n <= cfg.MaxGates:
-				// Same graceful degradation for qmc: the explicit budget
-				// admits the dense field, and the low-discrepancy stream
-				// carries over to the dense-qmc source.
-				telemetry.Add("chipmc_sampler_fallback_total", 1)
-				telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
-			default:
-				return Result{}, lkerr.Wrap(lkerr.Numerical, op, gerr)
-			}
-		}
-		if grid == nil {
-			mvn, derr := newCholesky(ctx, op, cfg.Proc, pl, cfg.Proc.SigmaD2D*cfg.Proc.SigmaD2D, cfg.Proc.LNominal, true)
-			if derr != nil {
-				return Result{}, derr
-			}
-			dense := &denseSource{mvn: mvn, stream: stream}
+	// The qmc sampler rides the grid route on large designs and the dense
+	// route on small ones (direct low-discrepancy deviates), mirroring the
+	// auto threshold.
+	if use == SamplerFFT || (use == SamplerQMC && n > autoDenseLimit) {
+		gs, gerr := gridSetup(ctx, cfg, pl)
+		switch {
+		case gerr == nil:
+			runner.grid = &gridBody{gs: gs, sites: pl.Site, trialStream: stream,
+				pairStream: stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/pair#"),
+				batchPairs: batchPairs(cfg.Batch, gs.TorusLen())}
+			telemetry.SpanAttrInt(ctx, "chipmc.batch", int64(2*runner.grid.batchPairs))
 			if use == SamplerQMC {
-				dense.qdims = min(n, randvar.SobolMaxDims)
-				if dense.seq, err = qmcSeq(cfg, nl.Name, dense.qdims); err != nil {
+				if err := runner.grid.useSobol(ctx, cfg, nl.Name); err != nil {
 					return Result{}, err
 				}
-				telemetry.SpanAttrInt(ctx, "chipmc.qmc_dims", int64(dense.qdims))
 			}
-			runner.src = dense
+		case cfg.Sampler == SamplerAuto && cfg.MaxGates != 0 && n <= cfg.MaxGates:
+			// The embedding failed, but the caller's explicit gate budget
+			// admits the dense path: degrade gracefully and record it.
+			telemetry.Add("chipmc_sampler_fallback_total", 1)
+			telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
+			use = SamplerDense
+		case use == SamplerQMC && cfg.MaxGates != 0 && n <= cfg.MaxGates:
+			// Same graceful degradation for qmc: the explicit budget admits
+			// the dense field, and the low-discrepancy stream carries over
+			// to the dense-qmc source.
+			telemetry.Add("chipmc_sampler_fallback_total", 1)
+			telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
+		default:
+			return Result{}, lkerr.Wrap(lkerr.Numerical, op, gerr)
 		}
 	}
-	defer timeRun(use)()
-	label := use.String()
-	if cfg.Tiles > 1 {
-		label = "tiled-fft"
+	if runner.grid == nil {
+		mvn, derr := newCholesky(ctx, op, cfg.Proc, pl, cfg.Proc.SigmaD2D*cfg.Proc.SigmaD2D, cfg.Proc.LNominal, true)
+		if derr != nil {
+			return Result{}, derr
+		}
+		dense := &denseSource{mvn: mvn, stream: stream}
+		if use == SamplerQMC {
+			dense.qdims = min(n, randvar.SobolMaxDims)
+			if dense.seq, err = qmcSeq(cfg, nl.Name, dense.qdims); err != nil {
+				return Result{}, err
+			}
+			telemetry.SpanAttrInt(ctx, "chipmc.qmc_dims", int64(dense.qdims))
+		}
+		runner.src = dense
 	}
+	defer timeRun(use)()
 
 	workers := parallel.Resolve(cfg.Workers, cfg.Samples)
 	runner.bufs = make([]trialBuf, workers)
 	totals := make([]float64, cfg.Samples)
-	telemetry.Inc(telemetry.Label("chipmc_sampler_runs_total", "sampler", label))
-	telemetry.SpanAttrStr(ctx, "chipmc.sampler", label)
+	telemetry.Inc(telemetry.Label("chipmc_sampler_runs_total", "sampler", use.String()))
+	telemetry.SpanAttrStr(ctx, "chipmc.sampler", use.String())
 	telemetry.SpanAttrInt(ctx, "chipmc.trials", int64(cfg.Samples))
 	telemetry.SpanAttrInt(ctx, "chipmc.workers", int64(workers))
 	endTrials := telemetry.StartSpan(ctx, "chipmc.trials")
 	rep := telemetry.StartProgress(ctx, "chipmc.trials", int64(cfg.Samples))
-	tick := parallel.NewTicker(rep)
-	var trialsC *telemetry.Counter
+	primary := &pass{totals: totals, tick: parallel.NewTicker(rep)}
 	if r := telemetry.Default(); r != nil {
-		trialsC = r.Counter("chipmc_trials_total")
+		primary.count = r.Counter("chipmc_trials_total")
 	}
-	if use == SamplerQMC && grid != nil {
-		err = runQMCGrid(ctx, cfg, nl.Name, runner, grid, totals, workers, tick, trialsC)
-	} else {
-		err = runner.fanOut(ctx, op, workers, 0, totals, nil, trialsC, tick)
-	}
+	err = runner.fanOut(ctx, op, workers, primary)
 	if err != nil {
-		rep.Done(tick.Count())
+		rep.Done(primary.tick.Count())
 		endTrials()
 		return Result{}, err
 	}
 	rep.Done(int64(cfg.Samples))
 	endTrials()
-	if cfg.Tiles > 1 {
-		// The O(largest tile) field-memory claim is auditable from the
-		// process_peak_alloc_bytes gauge, sampled after setup and trials.
-		telemetry.SamplePeakAlloc()
-	}
+	// The per-worker field memory is auditable from the
+	// process_peak_alloc_bytes gauge, sampled while the buffers are live.
+	telemetry.SamplePeakAlloc()
 	res, err := summarize(op, totals, cfg.KeepTrials)
 	if err != nil {
 		return Result{}, err
 	}
 	if cfg.Tail != nil {
-		tail, terr := runTail(ctx, cfg, tailQs, nl.Name, pl, runner, grid, totals, res, workers)
+		tail, terr := runTail(ctx, cfg, tailQs, nl.Name, pl, runner, totals, res, workers)
 		if terr != nil {
 			return Result{}, terr
 		}
@@ -712,32 +674,38 @@ func summarize(op string, totals []float64, keep bool) (Result, error) {
 	return res, nil
 }
 
-// buildGateStates precomputes each gate's reachable states and cumulative
-// state probabilities for inverse-CDF sampling.
-func buildGateStates(cfg Config, nl *netlist.Netlist) ([]gateState, error) {
+// buildGateStates precomputes each cell type's reachable states and
+// cumulative state probabilities for inverse-CDF sampling, once per type,
+// and points every gate at its type's table.
+func buildGateStates(cfg Config, nl *netlist.Netlist) ([]*gateState, error) {
 	const op = "chipmc.Run"
-	gates := make([]gateState, len(nl.Gates))
+	byType := make(map[string]*gateState)
+	gates := make([]*gateState, len(nl.Gates))
 	for g, gate := range nl.Gates {
-		cc, err := cfg.Lib.Cell(gate.Type)
-		if err != nil {
-			return nil, lkerr.Wrap(lkerr.InvalidInput, op, err)
-		}
-		gs := gateState{}
-		cumP := 0.0
-		for i := range cc.States {
-			p := cc.StateProb(cc.States[i].State, cfg.SignalProb)
-			if p == 0 {
-				continue
+		gs := byType[gate.Type]
+		if gs == nil {
+			cc, err := cfg.Lib.Cell(gate.Type)
+			if err != nil {
+				return nil, lkerr.Wrap(lkerr.InvalidInput, op, err)
 			}
-			cumP += p
-			gs.states = append(gs.states, &cc.States[i])
-			gs.cum = append(gs.cum, cumP)
+			gs = &gateState{}
+			cumP := 0.0
+			for i := range cc.States {
+				p := cc.StateProb(cc.States[i].State, cfg.SignalProb)
+				if p == 0 {
+					continue
+				}
+				cumP += p
+				gs.states = append(gs.states, &cc.States[i])
+				gs.cum = append(gs.cum, cumP)
+			}
+			if len(gs.states) == 0 {
+				return nil, lkerr.New(lkerr.InvalidInput, op,
+					"gate %d (%s) has no reachable states", g, gate.Type)
+			}
+			gs.cum[len(gs.cum)-1] = 1
+			byType[gate.Type] = gs
 		}
-		if len(gs.states) == 0 {
-			return nil, lkerr.New(lkerr.InvalidInput, op,
-				"gate %d (%s) has no reachable states", g, gate.Type)
-		}
-		gs.cum[len(gs.cum)-1] = 1
 		gates[g] = gs
 	}
 	return gates, nil

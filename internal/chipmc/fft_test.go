@@ -196,30 +196,49 @@ func TestAutoMatchesDenseBitwise(t *testing.T) {
 	}
 }
 
-// assertTrialZeroAlloc warms one worker's buffers on src, then checks that a
-// trial at the given tilt allocates nothing.
-func assertTrialZeroAlloc(t *testing.T, name string, gates []gateState, src fieldSource, sigmaVt, tilt float64) {
+// assertTrialZeroAlloc warms one worker's buffers on r's route, then checks
+// that a work unit — one dense trial, or one batch of grid pairs — allocates
+// nothing. A non-zero tilt runs the tail pass, which records each raw z₀.
+func assertTrialZeroAlloc(t *testing.T, name string, r *trialRunner, tilt float64) {
 	t.Helper()
-	runner := &trialRunner{gates: gates, src: src, sigmaVt: sigmaVt, bufs: make([]trialBuf, 1)}
-	if _, _, err := runner.runTrial(0, 0, tilt); err != nil { // warm the buffers
+	const trials = 64
+	r.bufs = make([]trialBuf, 1)
+	p := &pass{tilt: tilt, totals: make([]float64, trials)}
+	if tilt != 0 {
+		p.z0s = make([]float64, trials)
+	}
+	units := trials
+	if r.grid != nil {
+		units = r.grid.batches(trials)
+	}
+	if err := r.unit(0, 0, p); err != nil { // warm the buffers
 		t.Fatal(err)
 	}
-	trial := 1
+	u := 1
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := runner.runTrial(0, trial, tilt); err != nil {
+		if err := r.unit(0, u%units, p); err != nil {
 			t.Fatal(err)
 		}
-		trial++
+		u++
 	})
 	if allocs != 0 {
-		t.Errorf("%s trial body allocates %.1f times per trial, want 0", name, allocs)
+		t.Errorf("%s trial body allocates %.1f times per unit, want 0", name, allocs)
 	}
 }
 
+// testGridBody is the pseudo-random pair body on gs at the default batch.
+func testGridBody(gs *randvar.GridSampler, sites []int, name string) *gridBody {
+	return &gridBody{gs: gs, sites: sites,
+		pairStream:  stats.NewStream(1, "chipmc/"+name+"/pair#"),
+		trialStream: stats.NewStream(1, "chipmc/"+name+"/trial#"),
+		batchPairs:  batchPairs(0, gs.TorusLen())}
+}
+
 // TestTrialBodyAllocs pins the trial engine's zero-allocation contract on
-// the primary (θ = 0) field sources: once a worker's buffers are warm, a
-// trial allocates nothing. The tilted tail sources and the tiled source are
-// pinned by TestTailTrialBodyAllocs and TestTiledTrialBodyAllocs.
+// the primary (θ = 0) routes: once a worker's buffers are warm, a dense
+// trial or a batch of grid pairs allocates nothing. The grid row runs the
+// pair body on pseudo-random deviates; TestQMCTrialBodyAllocs pins it on
+// Sobol deviates and TestTailTrialBodyAllocs on the tilted tail pass.
 func TestTrialBodyAllocs(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
@@ -243,13 +262,14 @@ func TestTrialBodyAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		src  fieldSource
+		r    *trialRunner
 	}{
-		{"dense", &denseSource{mvn: joint, stream: stream}},
-		{"qmc-dense", &denseSource{mvn: joint, stream: stream, seq: seq, qdims: qdims}},
-		{"grid", &gridSource{gs: gs, sites: pl.Site, stream: stream}},
+		{"dense", &trialRunner{src: &denseSource{mvn: joint, stream: stream}}},
+		{"qmc-dense", &trialRunner{src: &denseSource{mvn: joint, stream: stream, seq: seq, qdims: qdims}}},
+		{"grid", &trialRunner{grid: testGridBody(gs, pl.Site, nl.Name)}},
 	} {
-		assertTrialZeroAlloc(t, tc.name, gates, tc.src, proc.SigmaVt, 0)
+		tc.r.gates, tc.r.sigmaVt = gates, proc.SigmaVt
+		assertTrialZeroAlloc(t, tc.name, tc.r, 0)
 	}
 }
 
@@ -269,10 +289,11 @@ func TestDenseSourceRefusesTilt(t *testing.T) {
 	}
 	src := &denseSource{mvn: joint, stream: stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#")}
 	runner := &trialRunner{gates: gates, src: src, bufs: make([]trialBuf, 1)}
-	if _, _, err := runner.runTrial(0, 0, 0); err != nil {
+	totals := make([]float64, 2)
+	if err := runner.unit(0, 0, &pass{totals: totals}); err != nil {
 		t.Fatalf("θ = 0: %v", err)
 	}
-	if _, _, err := runner.runTrial(0, 1, -2); !lkerr.IsCode(err, lkerr.InvalidInput) {
+	if err := runner.unit(0, 1, &pass{tilt: -2, totals: totals, z0s: make([]float64, 2)}); !lkerr.IsCode(err, lkerr.InvalidInput) {
 		t.Errorf("θ = -2: error %v, want typed InvalidInput", err)
 	}
 }

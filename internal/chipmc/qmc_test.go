@@ -1,15 +1,14 @@
 package chipmc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
 	"leakest/internal/fault"
-	"leakest/internal/fft"
 	"leakest/internal/lkerr"
 	"leakest/internal/randvar"
-	"leakest/internal/stats"
 )
 
 // TestQMCDeterminism is the §9 contract extended to the qmc sampler: on
@@ -200,12 +199,10 @@ func TestQMCDegradeChangesStream(t *testing.T) {
 	}
 }
 
-// TestQMCTrialBodyAllocs pins the batched grid trial body at zero
-// allocations once a worker's buffers are warm, mirroring
-// TestTrialBodyAllocs for the pseudo-random paths: the pin exercises
-// exactly the per-batch sequence runQMCGrid runs — spectrum fill, Sobol
-// point, mode substitution, batched inverse FFT, pair extraction, and the
-// two chip-total evaluations.
+// TestQMCTrialBodyAllocs pins the grid pair body on Sobol deviates at zero
+// allocations per batch once a worker's buffers are warm: spectrum fill,
+// Sobol point, mode substitution, batched inverse FFT, pair extraction, and
+// the chip-total evaluations.
 func TestQMCTrialBodyAllocs(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
@@ -217,68 +214,12 @@ func TestQMCTrialBodyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := gs.TopModes((randvar.SobolMaxDims - 2) / 2)
-	qdims := 2 + 2*len(modes)
-	seq, err := randvar.NewSobol(qdims, 42)
-	if err != nil {
+	g := testGridBody(gs, pl.Site, nl.Name)
+	if err := g.useSobol(context.Background(), cfg, nl.Name); err != nil {
 		t.Fatal(err)
 	}
-	const batchPairs = 4
-	tm, tn := gs.TorusDims()
-	tlen := gs.TorusLen()
-	b := qmcGridBuf{
-		rng:     stats.NewRNG(1, "qmc-alloc-pair"),
-		trng:    stats.NewRNG(1, "qmc-alloc-trial"),
-		toruses: make([]complex128, batchPairs*tlen),
-		scratch: make([]complex128, fft.Scratch2DLen(tm, tn)),
-		zq:      make([]float64, qdims),
-		z0:      make([]float64, 2*batchPairs),
-		fa:      make([]float64, gs.Grid().Sites()),
-		fb:      make([]float64, gs.Grid().Sites()),
-		ls:      make([]float64, len(gates)),
+	if len(g.modes) == 0 {
+		t.Fatal("no Sobol modes on a WID sampler")
 	}
-	pairStream := stats.NewStream(cfg.Seed, "chipmc/alloc/qpair#")
-	trialStream := stats.NewStream(cfg.Seed, "chipmc/alloc/trial#")
-	sink := 0.0
-	bi := 0
-	body := func() {
-		p0 := bi * batchPairs
-		for j := 0; j < batchPairs; j++ {
-			p := p0 + j
-			torus := b.toruses[j*tlen : (j+1)*tlen]
-			b.rng.Seed(pairStream.SeedFor(p))
-			gs.FillPairSpectrum(b.rng, torus)
-			seq.NormalsInto(uint32(p), b.zq)
-			b.z0[2*j], b.z0[2*j+1] = b.zq[0], b.zq[1]
-			for m, k := range modes {
-				gs.SetMode(torus, k, b.zq[2+2*m], b.zq[3+2*m])
-			}
-		}
-		if err := fft.Transform2DBatchInto(b.toruses, batchPairs, tm, tn, true, b.scratch); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < batchPairs; j++ {
-			p := p0 + j
-			gs.ExtractPair(b.toruses[j*tlen:(j+1)*tlen], b.z0[2*j], b.z0[2*j+1], b.fa, b.fb)
-			for c := 0; c < 2; c++ {
-				f := b.fa
-				if c == 1 {
-					f = b.fb
-				}
-				for g, s := range pl.Site {
-					b.ls[g] = f[s]
-				}
-				b.trng.Seed(trialStream.SeedFor(2*p + c))
-				sink += chipTotal(gates, b.trng, b.ls, proc.SigmaVt)
-			}
-		}
-		bi++
-	}
-	body() // warm
-	if allocs := testing.AllocsPerRun(50, body); allocs != 0 {
-		t.Errorf("qmc batch body allocates %.1f times per batch, want 0", allocs)
-	}
-	if math.IsNaN(sink) {
-		t.Fatal("NaN chip total")
-	}
+	assertTrialZeroAlloc(t, "qmc-grid", &trialRunner{gates: gates, grid: g, sigmaVt: proc.SigmaVt}, 0)
 }

@@ -211,7 +211,7 @@ func (ts TailStats) MarshalJSON() ([]byte, error) {
 // sensitivity: leakage falls as channel length grows, so the upper leakage
 // tail lives at negative z₀ and the tilt must be negative; the probe keeps
 // the estimator correct for any monotone characterization.
-func selectTilt(tc *TailConfig, res Result, gates []gateState, lnom float64) float64 {
+func selectTilt(tc *TailConfig, res Result, gates []*gateState, lnom float64) float64 {
 	if tc.Shift != 0 {
 		return tc.Shift
 	}
@@ -239,7 +239,7 @@ func selectTilt(tc *TailConfig, res Result, gates []gateState, lnom float64) flo
 // requested — the importance-sampled deep-tail exceedance with its health-
 // gated fallback.
 func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *placement.Placement,
-	primary *trialRunner, grid *gridSource, totals []float64, res Result, workers int) (*TailStats, error) {
+	primary *trialRunner, totals []float64, res Result, workers int) (*TailStats, error) {
 	const op = "chipmc.Tail"
 	tc := cfg.Tail
 	ctx, endTail := telemetry.WithSpan(ctx, "chipmc.tail")
@@ -275,13 +275,16 @@ func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *place
 		return ts, nil
 	}
 
-	// The proposal reuses the primary grid sampler when there is one; the
-	// dense path splits the field into its D2D and WID components so the
-	// shared deviate can be tilted. Both draw from the tail# streams.
+	// The proposal reuses the primary grid sampler on the pseudo-random pair
+	// body when there is one; the dense path splits the field into its D2D
+	// and WID components so the shared deviate can be tilted. Both draw
+	// from the tail's own streams.
 	stream := stats.NewStream(cfg.Seed, "chipmc/"+nl+"/tail#")
 	tr := &trialRunner{gates: primary.gates, sigmaVt: primary.sigmaVt, bufs: make([]trialBuf, workers)}
-	if grid != nil {
-		tr.src = &gridSource{gs: grid.gs, sites: grid.sites, stream: stream}
+	if g := primary.grid; g != nil {
+		tr.grid = &gridBody{gs: g.gs, sites: g.sites, trialStream: stream,
+			pairStream: stats.NewStream(cfg.Seed, "chipmc/"+nl+"/tailpair#"),
+			batchPairs: g.batchPairs}
 	} else {
 		split := &splitSource{lnom: cfg.Proc.LNominal, sd2d: cfg.Proc.SigmaD2D, stream: stream}
 		if cfg.Proc.SigmaWID > 0 {
@@ -304,11 +307,11 @@ func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *place
 
 	isTotals := make([]float64, tc.ISTrials)
 	isZ := make([]float64, tc.ISTrials)
-	var tailC *telemetry.Counter
+	tailPass := &pass{tilt: theta, totals: isTotals, z0s: isZ}
 	if r := telemetry.Default(); r != nil {
-		tailC = r.Counter("chipmc_tail_trials_total")
+		tailPass.count = r.Counter("chipmc_tail_trials_total")
 	}
-	if err := tr.fanOut(ctx, op, workers, theta, isTotals, isZ, tailC, nil); err != nil {
+	if err := tr.fanOut(ctx, op, workers, tailPass); err != nil {
 		return nil, err
 	}
 

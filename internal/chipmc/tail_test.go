@@ -275,9 +275,10 @@ func TestTailConfigValidation(t *testing.T) {
 }
 
 // TestTailTrialBodyAllocs: the tail stage's tilted proposals — split
-// D2D-plus-dense-WID, split D2D-only and the tilted FFT grid — allocate
-// nothing per trial once a worker's buffers are warm; the likelihood-ratio
-// bookkeeping happens in the serial reduction, not per trial.
+// D2D-plus-dense-WID, split D2D-only and the tilted grid pair body — allocate
+// nothing per work unit once a worker's buffers are warm; the
+// likelihood-ratio bookkeeping happens in the serial reduction, not per
+// trial.
 func TestTailTrialBodyAllocs(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
@@ -296,12 +297,13 @@ func TestTailTrialBodyAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		src  fieldSource
+		r    *trialRunner
 	}{
-		{"split-dense", &splitSource{wid: wid, lnom: proc.LNominal, sd2d: proc.SigmaD2D, stream: stream}},
-		{"split-d2d-only", &splitSource{lnom: proc.LNominal, sd2d: proc.SigmaD2D, stream: stream}},
-		{"grid-tilted", &gridSource{gs: gs, sites: pl.Site, stream: stream}},
+		{"split-dense", &trialRunner{src: &splitSource{wid: wid, lnom: proc.LNominal, sd2d: proc.SigmaD2D, stream: stream}}},
+		{"split-d2d-only", &trialRunner{src: &splitSource{lnom: proc.LNominal, sd2d: proc.SigmaD2D, stream: stream}}},
+		{"grid-tilted", &trialRunner{grid: testGridBody(gs, pl.Site, nl.Name)}},
 	} {
-		assertTrialZeroAlloc(t, tc.name, gates, tc.src, proc.SigmaVt, -3)
+		tc.r.gates, tc.r.sigmaVt = gates, proc.SigmaVt
+		assertTrialZeroAlloc(t, tc.name, tc.r, -3)
 	}
 }

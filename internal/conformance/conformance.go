@@ -49,9 +49,6 @@ type Config struct {
 	// tailOnly restricts the run to the single-gate analytic tail gate —
 	// the fixture the tail-is mutation self-check needs; internal use only.
 	tailOnly bool
-	// tiledMCOnly restricts RunTiled to the sampled-law stage — the stage
-	// the tiled-mc mutation self-check needs; internal use only.
-	tiledMCOnly bool
 }
 
 func (c Config) withDefaults() Config {

@@ -9,8 +9,7 @@ import (
 
 // TestRunTiled is the tiled conformance gate itself: on a healthy tree
 // every check — bitwise tiled-vs-monolithic exactness, tile-count and
-// worker invariance, the quadrature envelope, the sampled tiled law, and
-// the streaming round trip — must pass.
+// worker invariance, and the streaming round trip — must pass.
 func TestRunTiled(t *testing.T) {
 	rep, err := RunTiled(context.Background(), Config{Short: true, Workers: 2})
 	if err != nil {

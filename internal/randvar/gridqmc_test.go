@@ -83,7 +83,7 @@ func TestPairRealChannelMatchesSampleInto(t *testing.T) {
 		if err := fft.Transform2DInto(torus, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
-		s.ExtractPair(torus, z0, -z0, fa, fb)
+		s.ExtractPair(torus, z0, -z0, 0, fa, fb)
 		for i := range ref {
 			if fa[i] != ref[i] {
 				t.Fatalf("seed %d site %d: pair real channel %v != SampleInto %v",
@@ -120,7 +120,7 @@ func TestPairImagChannelLaw(t *testing.T) {
 		if err := fft.Transform2DInto(torus, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
-		s.ExtractPair(torus, rng.NormFloat64(), rng.NormFloat64(), fa, fb)
+		s.ExtractPair(torus, rng.NormFloat64(), rng.NormFloat64(), 0, fa, fb)
 		a0[p], a1[p] = fa[0], fa[1]
 		b0[p], b1[p] = fb[0], fb[1]
 	}
@@ -275,8 +275,8 @@ func FuzzBatchedDraw(f *testing.F) {
 			if err := fft.Transform2DInto(single, tm, tn, true, scratch); err != nil {
 				t.Fatal(err)
 			}
-			s.ExtractPair(single, z0[2*p], z0[2*p+1], ra, rb)
-			s.ExtractPair(batched[p*tlen:(p+1)*tlen], z0[2*p], z0[2*p+1], fa, fb)
+			s.ExtractPair(single, z0[2*p], z0[2*p+1], 0, ra, rb)
+			s.ExtractPair(batched[p*tlen:(p+1)*tlen], z0[2*p], z0[2*p+1], 0, fa, fb)
 			for i := 0; i < sites; i++ {
 				if fa[i] != ra[i] || fb[i] != rb[i] {
 					t.Fatalf("%dx%d batch=%d pair %d site %d: batched (%v, %v) != single (%v, %v)",

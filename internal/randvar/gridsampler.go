@@ -308,33 +308,21 @@ func (s *GridSampler) NewScratch() *GridScratch {
 // one draw of the channel-length field. The draw consumes 1 + 2·tm·tn
 // normals from rng in a fixed order — the shared D2D deviate first, then the
 // white-noise spectrum — so a per-trial PRNG stream yields identical fields
-// at any worker count. It allocates nothing: all intermediate state lives in
-// sc, which must come from NewScratch on this sampler.
+// at any worker count. Only the real part of the inverse transform is kept;
+// the Monte Carlo draws its trial fields in pairs instead (DrawPair,
+// ExtractPair). It allocates nothing: all intermediate state lives in sc,
+// which must come from NewScratch on this sampler.
 func (s *GridSampler) SampleInto(rng *rand.Rand, sc *GridScratch, field []float64) error {
-	_, err := s.SampleTiltedInto(rng, sc, field, 0)
-	return err
-}
-
-// SampleTiltedInto is SampleInto with a mean shift of the shared D2D
-// deviate: the field's D2D component becomes σ_D2D·(z₀ + tilt) where z₀ is
-// the raw standard-normal draw, which is returned so an importance-sampling
-// caller can form the exact likelihood ratio exp(−tilt·z₀ − tilt²/2) of the
-// tilted proposal against the nominal field law. The WID component is
-// untouched — the tilt moves only the fully shared scalar. At tilt 0 the
-// draw is bitwise identical to SampleInto (z₀ + 0 ≡ z₀ in IEEE754), which
-// the grid property tests pin.
-func (s *GridSampler) SampleTiltedInto(rng *rand.Rand, sc *GridScratch, field []float64, tilt float64) (z0 float64, err error) {
 	g := s.grid
 	if len(field) != g.Sites() {
 		panic(fmt.Sprintf("randvar: grid sample field length %d != %d sites", len(field), g.Sites()))
 	}
-	z0 = rng.NormFloat64()
-	shift := s.mean + s.sd2d*(z0+tilt)
+	shift := s.mean + s.sd2d*rng.NormFloat64()
 	if s.scale == nil {
 		for i := range field {
 			field[i] = shift
 		}
-		return z0, nil
+		return nil
 	}
 	if len(sc.torus) != s.tm*s.tn {
 		panic(fmt.Sprintf("randvar: grid sample scratch for %d torus points, sampler has %d",
@@ -345,7 +333,7 @@ func (s *GridSampler) SampleTiltedInto(rng *rand.Rand, sc *GridScratch, field []
 		torus[k] = complex(a*rng.NormFloat64(), a*rng.NormFloat64())
 	}
 	if err := fft.Transform2DInto(torus, s.tm, s.tn, true, sc.fft); err != nil {
-		return z0, err
+		return err
 	}
 	for r := 0; r < g.Rows; r++ {
 		row := torus[r*s.tn : r*s.tn+g.Cols]
@@ -354,5 +342,5 @@ func (s *GridSampler) SampleTiltedInto(rng *rand.Rand, sc *GridScratch, field []
 			out[c] = shift + real(row[c])
 		}
 	}
-	return z0, nil
+	return nil
 }

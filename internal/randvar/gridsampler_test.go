@@ -267,11 +267,11 @@ func TestGridSamplerSampleAllocs(t *testing.T) {
 	}
 }
 
-// TestGridSamplerTiltedDraw pins the importance-sampling contract of
-// SampleTiltedInto: at tilt 0 the draw is bitwise identical to SampleInto
-// (and returns the raw D2D deviate actually used), and at tilt θ every site
-// moves by exactly σ_D2D·θ while the WID texture — the site-to-site
-// differences — stays bitwise unchanged.
+// TestGridSamplerTiltedDraw pins the importance-sampling contract of the
+// pair body: DrawPair reports the raw D2D deviates it drew (the two normals
+// after the spectrum in the pair's stream), ExtractPair at tilt 0 is bitwise
+// the untilted field pair, and at tilt θ every site of both channels moves
+// by exactly σ_D2D·θ while the WID texture stays unchanged.
 func TestGridSamplerTiltedDraw(t *testing.T) {
 	proc := gridTestProcess()
 	grid := placement.Grid{Rows: 6, Cols: 10, SiteW: 2, SiteH: 2}
@@ -279,37 +279,39 @@ func TestGridSamplerTiltedDraw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := make([]float64, s.Sites())
-	tilted := make([]float64, s.Sites())
-	if err := s.SampleInto(stats.NewRNG(3, "tilt"), s.NewScratch(), plain); err != nil {
+	torus := make([]complex128, s.TorusLen())
+	z0a, z0b := s.DrawPair(stats.NewRNG(3, "tilt"), torus)
+	replay := stats.NewRNG(3, "tilt")
+	s.FillPairSpectrum(replay, make([]complex128, s.TorusLen()))
+	if wa, wb := replay.NormFloat64(), replay.NormFloat64(); z0a != wa || z0b != wb {
+		t.Fatalf("DrawPair returned deviates (%v, %v), want the stream's raw (%v, %v)", z0a, z0b, wa, wb)
+	}
+	tm, tn := s.TorusDims()
+	if err := fft.Transform2DInto(torus, tm, tn, true, make([]complex128, fft.Scratch2DLen(tm, tn))); err != nil {
 		t.Fatal(err)
 	}
-	z0, err := s.SampleTiltedInto(stats.NewRNG(3, "tilt"), s.NewScratch(), tilted, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := stats.NewRNG(3, "tilt").NormFloat64(); z0 != want {
-		t.Fatalf("returned deviate %v != first normal of the stream %v", z0, want)
-	}
-	for i := range plain {
-		if tilted[i] != plain[i] {
-			t.Fatalf("tilt=0 draw differs from SampleInto at site %d: %v vs %v", i, tilted[i], plain[i])
+	sites := s.Sites()
+	fa, fb := make([]float64, sites), make([]float64, sites)
+	ta, tb := make([]float64, sites), make([]float64, sites)
+	s.ExtractPair(torus, z0a, z0b, 0, fa, fb)
+	for r := 0; r < grid.Rows; r++ {
+		for c := 0; c < grid.Cols; c++ {
+			i, v := r*grid.Cols+c, torus[r*tn+c]
+			if wa, wb := proc.LNominal+proc.SigmaD2D*z0a+real(v), proc.LNominal+proc.SigmaD2D*z0b+imag(v); fa[i] != wa || fb[i] != wb {
+				t.Fatalf("tilt=0 site %d: (%v, %v), want untilted (%v, %v)", i, fa[i], fb[i], wa, wb)
+			}
 		}
 	}
 
 	const theta = 2.5
-	z0t, err := s.SampleTiltedInto(stats.NewRNG(3, "tilt"), s.NewScratch(), tilted, theta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z0t != z0 {
-		t.Fatalf("tilted draw returned deviate %v, want the same raw draw %v", z0t, z0)
-	}
+	s.ExtractPair(torus, z0a, z0b, theta, ta, tb)
 	// Every site moves by σ_D2D·θ up to one rounding of the final add, which
 	// also pins that the WID texture is untouched by the tilt.
-	for i := range plain {
-		if d := tilted[i] - plain[i] - proc.SigmaD2D*theta; math.Abs(d) > 1e-15 {
-			t.Fatalf("site %d moved by %v, want σ_D2D·θ = %v", i, tilted[i]-plain[i], proc.SigmaD2D*theta)
+	for i := range fa {
+		for _, d := range []float64{ta[i] - fa[i], tb[i] - fb[i]} {
+			if math.Abs(d-proc.SigmaD2D*theta) > 1e-15 {
+				t.Fatalf("site %d moved by %v, want σ_D2D·θ = %v", i, d, proc.SigmaD2D*theta)
+			}
 		}
 	}
 }

@@ -49,18 +49,17 @@ type EstimateRequest struct {
 	// auto). "qmc" draws trials from a scrambled-Sobol sequence — same
 	// distribution, fewer trials to a given standard error.
 	Sampler string `json:"sampler,omitempty"`
-	// MCBatch is the number of trial fields the qmc sampler batches per
-	// FFT pass (0 = default; ignored by the other samplers; results do not
-	// depend on it).
+	// MCBatch is the number of trial fields the FFT grid routes (fft, qmc
+	// and the tail's grid proposal) batch per FFT pass, in pairs (0 =
+	// default; ignored by the dense routes; results do not depend on it).
 	MCBatch int `json:"mc_batch,omitempty"`
 	// Tail requests distribution-tail statistics from the Monte-Carlo run
 	// (requires Bench and MCSamples).
 	Tail *TailRequest `json:"tail,omitempty"`
 	// Tiles requests the §16 per-tile breakdown: the die is partitioned
 	// T×T and each tile gets its standalone linear-method moments. It rides
-	// along with any method and never changes the served moments; with
-	// mc_samples it switches the Monte Carlo to per-tile field sampling.
-	// Incompatible with truth.
+	// along with any method and never changes the served moments; the
+	// Monte Carlo ignores it. Incompatible with truth.
 	Tiles *TilesRequest `json:"tiles,omitempty"`
 	// SignalProb applies to all inputs; omitted selects the
 	// leakage-maximizing (conservative) setting.
@@ -99,10 +98,10 @@ type TailRequest struct {
 	ISTrials int `json:"is_trials,omitempty"`
 }
 
-// TilesRequest configures the per-tile breakdown and the tiled Monte Carlo.
+// TilesRequest configures the per-tile breakdown.
 type TilesRequest struct {
 	// T is the per-axis tile count; the die is partitioned into at most T×T
-	// tiles. 0 and 1 request no breakdown and the monolithic Monte Carlo.
+	// tiles. 0 and 1 request no breakdown; negative counts are refused.
 	T int `json:"t"`
 	// PerTile additionally returns the per-tile moment breakdown in
 	// result.tile_stats.

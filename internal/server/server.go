@@ -548,9 +548,6 @@ func (s *Server) runMonteCarlo(ctx context.Context, est *leakest.Estimator, req 
 		Sampler:    sampler,
 		Batch:      req.MCBatch,
 	}
-	if req.Tiles != nil {
-		cfg.Tiles = req.Tiles.T
-	}
 	if req.Tail != nil {
 		cfg.Tail = &chipmc.TailConfig{
 			Spec:      req.Tail.Spec,
@@ -559,10 +556,9 @@ func (s *Server) runMonteCarlo(ctx context.Context, est *leakest.Estimator, req 
 		}
 	}
 	// Artifact 3: the FFT torus embedding, shared across requests hitting
-	// the same (process, grid). The tiled path builds per-tile samplers of
-	// its own, so the full-grid embedding is not pre-warmed for it.
-	if cfg.Tiles <= 1 && (sampler == leakest.SamplerFFT ||
-		((sampler == leakest.SamplerAuto || sampler == leakest.SamplerQMC) && n > chipmc.DefaultMaxGates)) {
+	// the same (process, grid).
+	if sampler == leakest.SamplerFFT ||
+		((sampler == leakest.SamplerAuto || sampler == leakest.SamplerQMC) && n > chipmc.DefaultMaxGates) {
 		g := bench.pl.Grid
 		gsAny, gerr := s.cache.get(ctx, "embedding",
 			embeddingKey(proc, g.Rows, g.Cols, g.SiteW, g.SiteH),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"reflect"
 	"testing"
 )
 
@@ -61,19 +62,27 @@ func TestEstimateTiles(t *testing.T) {
 	}
 }
 
-// TestEstimateTilesMonteCarlo: tiles reach the Monte-Carlo stage.
+// TestEstimateTilesMonteCarlo: tiles never change the Monte-Carlo stage —
+// the MC body is identical with and without a tiles block.
 func TestEstimateTilesMonteCarlo(t *testing.T) {
 	s := coreServer(t, Config{})
-	rec := do(t, s, "POST", "/v1/estimate", map[string]any{
-		"bench": c17, "mc_samples": 50,
-		"tiles": map[string]any{"t": 2},
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	var bodies [2]*MCBody
+	for i, tiles := range []map[string]any{nil, {"t": 2}} {
+		req := map[string]any{"bench": c17, "mc_samples": 50}
+		if tiles != nil {
+			req["tiles"] = tiles
+		}
+		rec := do(t, s, "POST", "/v1/estimate", req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		bodies[i] = decodeResp(t, rec).MonteCarlo
+		if bodies[i] == nil || bodies[i].Samples != 50 || !(bodies[i].Mean > 0) {
+			t.Fatalf("monte carlo %+v", bodies[i])
+		}
 	}
-	resp := decodeResp(t, rec)
-	if resp.MonteCarlo == nil || resp.MonteCarlo.Samples != 50 || !(resp.MonteCarlo.Mean > 0) {
-		t.Fatalf("monte carlo %+v", resp.MonteCarlo)
+	if !reflect.DeepEqual(bodies[0], bodies[1]) {
+		t.Errorf("tiles changed the MC body: %+v vs %+v", bodies[1], bodies[0])
 	}
 }
 

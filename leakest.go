@@ -195,10 +195,11 @@ type Estimator struct {
 	// low-discrepancy sequence — identical distribution, materially fewer
 	// trials to a given standard error on typical designs.
 	Sampler MCSampler
-	// Batch is the number of Monte-Carlo trial fields the qmc sampler
-	// pushes through one batched 2-D FFT pass (0 selects the default;
-	// results are bitwise independent of the setting). Ignored by the
-	// other samplers.
+	// Batch is the number of Monte-Carlo trial fields every FFT grid
+	// route (fft, qmc, and the tail's grid proposal) pushes through one
+	// batched 2-D FFT pass, in Dietrich–Newsam pairs (0 selects a default
+	// sized to the torus; results are bitwise independent of the setting).
+	// Ignored by the dense routes.
 	Batch int
 	// Spec is a full-chip leakage spec in amperes. When > 0, MonteCarlo
 	// runs additionally report the exceedance probability P[I_leak > Spec]
@@ -217,10 +218,9 @@ type Estimator struct {
 	// array is partitioned into a Tiles×Tiles arrangement and
 	// Result.TileStats carries each tile's standalone linear-method moments.
 	// The breakdown rides along with any method; Mean, Std and Method are
-	// those of the estimator that answered, tiled or not. MonteCarlo runs
-	// switch to per-tile FFT field sampling, lifting the gate budget to
-	// millions (see chipmc.DefaultMaxGatesTiled). 0 and 1 request no
-	// breakdown.
+	// those of the estimator that answered, tiled or not. Monte Carlo
+	// ignores it: trial fields are always drawn on the exact law over the
+	// whole die. 0 and 1 request no breakdown; a negative count is refused.
 	Tiles int
 }
 

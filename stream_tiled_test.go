@@ -125,21 +125,31 @@ func TestEstimateStream(t *testing.T) {
 	}
 }
 
-// TestMonteCarloTiles: the Tiles knob reaches the Monte-Carlo path and its
-// validation (polar-style refusals are chipmc's: dense sampler + tiling).
+// TestMonteCarloTiles: Tiles never changes a Monte-Carlo run — Tiles = 2
+// gives the moments of Tiles = 0 on the grid and dense routes alike — and
+// only a negative count is refused.
 func TestMonteCarloTiles(t *testing.T) {
 	est, nl, pl := tiledTestEstimator(t, 64)
-	est.Tiles = 2
-	res, err := est.MonteCarlo(nl, pl, 0.5, 24, 7)
-	if err != nil {
-		t.Fatal(err)
+	for _, sampler := range []MCSampler{SamplerFFT, SamplerDense} {
+		est.Sampler = sampler
+		est.Tiles = 0
+		mono, err := est.MonteCarlo(nl, pl, 0.5, 24, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est.Tiles = 2
+		tiled, err := est.MonteCarlo(nl, pl, 0.5, 24, 7)
+		if err != nil {
+			t.Fatalf("%s with tiles: %v", sampler, err)
+		}
+		if tiled.Samples != 24 || tiled.Mean != mono.Mean || tiled.Std != mono.Std {
+			t.Fatalf("%s: Tiles=2 gave (%v, %v), Tiles=0 gave (%v, %v)",
+				sampler, tiled.Mean, tiled.Std, mono.Mean, mono.Std)
+		}
 	}
-	if res.Samples != 24 || res.Std <= 0 {
-		t.Fatalf("tiled MC result %+v", res)
-	}
-	est.Sampler = SamplerDense
+	est.Tiles = -1
 	if _, err := est.MonteCarlo(nl, pl, 0.5, 24, 7); !lkerr.IsCode(err, lkerr.InvalidInput) {
-		t.Fatalf("tiled+dense: got %v, want InvalidInput", err)
+		t.Fatalf("Tiles=-1: got %v, want InvalidInput", err)
 	}
 }
 
