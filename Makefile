@@ -104,26 +104,36 @@ fuzz:
 # worker pool and its four call sites (the full `race` target covers them
 # too; this one is the fast CI job for parallel-path changes). The chipmc
 # route freeze replays every Monte-Carlo trial route at 1 and 4 workers
-# against its recorded totals.
+# against its recorded totals; the fft twiddle-cache test builds the shared
+# transform tables from concurrent transforms of mixed lengths.
 race-parallel:
 	$(GO) test -race ./internal/parallel/ ./internal/core/ -run 'Parallel|Sharding|ForEach|Ticker|LagCountTruthWorker'
+	$(GO) test -race ./internal/fft/ -run 'TestTwiddleCacheConcurrent'
 	$(GO) test -race ./internal/chipmc/ -run 'TestRouteStreamsFrozen'
 	$(GO) test -race . -run 'TestDeterminism|TestParallel|TestWorkersField'
 
-# bench runs every paper benchmark once and leaves a machine-readable
-# record in BENCH_leakest.json (name, ns/op, B/op, allocs/op, gate count,
+# bench runs every paper benchmark once, plus the layer benchmarks of the
+# Monte-Carlo kernels (the 2-D FFT, the Cholesky factorization and the
+# dense field draw) ten times each, since one run of a millisecond kernel
+# mostly times a cold cache, and leaves a machine-readable record in
+# BENCH_leakest.json (name, ns/op, B/op, allocs/op, gate count,
 # GOMAXPROCS, worker count) via cmd/benchjson. Set LEAKEST_WORKERS=N to run
 # the single-design benchmarks at a fixed pool size (recorded in the
-# report); the results are bitwise identical either way. A failed `go test`
-# yields no benchmark lines, which benchjson turns back into a non-zero
-# exit. The Fig6 and Table1 paper-accuracy benchmarks and the Fig. 6-size
+# report); the results are bitwise identical either way. A failed package
+# prints a FAIL line, which benchjson turns back into a non-zero exit. The Fig6 and Table1 paper-accuracy benchmarks and the Fig. 6-size
 # exact truth (TruthClassed) always run under a wall-time budget (≈7×,
 # ≈120× and ≈5.6× their local times of 0.58 s, 42 ms and 89 ms on a 2-core
 # VM, to absorb CI-host noise; the Fig6 and TruthClassed budgets also sit
 # below the 4.75 s and 0.63 s of the per-pair truth they replaced) so a
 # perf regression in the estimators they sweep fails the target; add more
 # gates via BENCHJSON_FLAGS="-budget ChipMCMillion=60s" (see cmd/benchjson).
+# BENCH_COUNT=N runs every benchmark N times and records (and gates) each
+# one's median run; the committed BENCH_leakest.json is made with
+# BENCH_COUNT=5, since a single run of a whole-path benchmark swings 2–3×
+# on a loaded 2-core host.
 BENCHJSON_BUDGETS = -budget Fig6=4s -budget Table1=5s -budget TruthClassed=500ms
 BENCHJSON_FLAGS ?=
+BENCH_COUNT ?= 1
 bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . | $(GO) run ./cmd/benchjson -o BENCH_leakest.json $(BENCHJSON_BUDGETS) $(BENCHJSON_FLAGS)
+	{ $(GO) test -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem -run=^$$ . ; \
+	  $(GO) test -bench=. -benchtime=10x -count=$(BENCH_COUNT) -benchmem -run=^$$ ./internal/fft ./internal/linalg ./internal/randvar ; } | $(GO) run ./cmd/benchjson -o BENCH_leakest.json $(BENCHJSON_BUDGETS) $(BENCHJSON_FLAGS)

@@ -7,10 +7,20 @@
 //
 //	go test -bench=. -benchtime=1x -benchmem -run='^$' . | benchjson -o BENCH_leakest.json
 //
+// A benchmark that ran several times (go test -count=N) is reported once,
+// as its median run by ns/op — the lower median of an even count, so every
+// field of the entry comes from one real run — with the run count in runs.
+// One run of a whole-path benchmark swings 2–3× on a loaded host; the
+// median of a few is what a later run can be compared against.
+//
+// The input may hold several packages' runs. A FAIL line from any of them
+// makes the run exit non-zero after the report is written, so a failed
+// package cannot pass unnoticed behind the others' results.
+//
 // Repeatable -budget NAME=DURATION flags turn the report into a regression
-// gate: the run exits non-zero when the named benchmark's ns/op exceeds the
-// budget, or when a budgeted benchmark is missing from the input (a
-// silently skipped benchmark must not pass its gate).
+// gate: the run exits non-zero when the named benchmark's median ns/op
+// exceeds the budget, or when a budgeted benchmark is missing from the
+// input (a silently skipped benchmark must not pass its gate).
 //
 //	... | benchjson -o BENCH_leakest.json -budget Fig6=41s -budget Table1=2s
 package main
@@ -133,6 +143,37 @@ type Bench struct {
 	// BenchmarkChipMCMillion and BenchmarkTruthMillion).
 	Tiles     int     `json:"tiles,omitempty"`
 	PeakBytes float64 `json:"peak_bytes,omitempty"`
+	// Runs is how many runs of the benchmark the input held; the entry is
+	// their median (see medianRuns).
+	Runs int `json:"runs"`
+}
+
+// medianRuns collapses repeated runs of one benchmark — same name and
+// GOMAXPROCS — into its median run by ns/op (the lower median of an even
+// count), in the order the benchmarks first appeared.
+func medianRuns(bs []Bench) []Bench {
+	type key struct {
+		name  string
+		procs int
+	}
+	var order []key
+	runs := map[key][]Bench{}
+	for _, b := range bs {
+		k := key{b.Name, b.Procs}
+		if _, ok := runs[k]; !ok {
+			order = append(order, k)
+		}
+		runs[k] = append(runs[k], b)
+	}
+	out := make([]Bench, 0, len(order))
+	for _, k := range order {
+		rs := runs[k]
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		m := rs[(len(rs)-1)/2]
+		m.Runs = len(rs)
+		out = append(out, m)
+	}
+	return out
 }
 
 // Report is the top-level document written to -o.
@@ -141,6 +182,12 @@ type Report struct {
 	GOOS       string  `json:"goos"`
 	GOARCH     string  `json:"goarch"`
 	Benchmarks []Bench `json:"benchmarks"`
+}
+
+// failedLine reports whether line is `go test`'s verdict on a failed
+// package ("FAIL" alone, or "FAIL\t<package> …").
+func failedLine(line string) bool {
+	return line == "FAIL" || strings.HasPrefix(line, "FAIL\t")
 }
 
 // parseLine parses one "BenchmarkName-P  N  V unit  V unit ..." line;
@@ -222,9 +269,11 @@ func main() {
 	rep := Report{Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	failed := false
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line)
+		failed = failed || failedLine(line)
 		if b, ok := parseLine(line); ok {
 			rep.Benchmarks = append(rep.Benchmarks, b)
 		}
@@ -233,6 +282,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
 		os.Exit(1)
 	}
+	rep.Benchmarks = medianRuns(rep.Benchmarks)
 	if len(rep.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
@@ -247,6 +297,10 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+	if failed {
+		fmt.Fprintln(os.Stderr, "benchjson: a package's tests or benchmarks failed")
+		os.Exit(1)
+	}
 	if viols := overBudget(rep.Benchmarks, bud); len(viols) > 0 {
 		for _, v := range viols {
 			fmt.Fprintf(os.Stderr, "benchjson: %s\n", v)

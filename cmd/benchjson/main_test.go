@@ -189,3 +189,44 @@ func TestOverBudget(t *testing.T) {
 		t.Errorf("no budgets must mean no violations, got %v", viols)
 	}
 }
+
+func TestFailedLine(t *testing.T) {
+	for line, want := range map[string]bool{
+		"FAIL":                              true,
+		"FAIL\tleakest/internal/fft\t0.05s": true,
+		"--- FAIL: TestX (0.00s)":           false,
+		"ok  \tleakest/internal/fft\t0.05s": false,
+		"BenchmarkFAIL-2 1 5 ns/op":         false,
+		"PASS":                              false,
+	} {
+		if got := failedLine(line); got != want {
+			t.Errorf("failedLine(%q) = %v, want %v", line, got, want)
+		}
+	}
+}
+
+func TestMedianRuns(t *testing.T) {
+	bs := []Bench{
+		{Name: "Fig6", Procs: 2, NsPerOp: 30, Iterations: 1},
+		{Name: "Table1", Procs: 2, NsPerOp: 7},
+		{Name: "Fig6", Procs: 2, NsPerOp: 10, Iterations: 2},
+		{Name: "Fig6", Procs: 4, NsPerOp: 50},
+		{Name: "Fig6", Procs: 2, NsPerOp: 20, Iterations: 3},
+		{Name: "Table1", Procs: 2, NsPerOp: 5},
+	}
+	got := medianRuns(bs)
+	want := []Bench{
+		{Name: "Fig6", Procs: 2, NsPerOp: 20, Iterations: 3, Runs: 3}, // the median run, whole
+		{Name: "Table1", Procs: 2, NsPerOp: 5, Runs: 2},               // lower median of two
+		{Name: "Fig6", Procs: 4, NsPerOp: 50, Runs: 1},                // other GOMAXPROCS, own entry
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d entries %+v, want %d", len(got), got, len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Name != w.Name || g.Procs != w.Procs || g.NsPerOp != w.NsPerOp || g.Iterations != w.Iterations || g.Runs != w.Runs {
+			t.Errorf("entry %d = %+v, want %+v", i, g, w)
+		}
+	}
+}

@@ -33,7 +33,6 @@ import (
 
 	"leakest/internal/charlib"
 	"leakest/internal/fault"
-	"leakest/internal/fft"
 	"leakest/internal/linalg"
 	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
@@ -220,11 +219,11 @@ type trialBuf struct {
 	rng *rand.Rand
 	ls  []float64 // per-gate channel lengths
 	z   []float64 // dense routes: standard-normal scratch
-	// Grid route: a batch of pair toruses, the FFT scratch, one Sobol
-	// point's normals, the raw (z0a, z0b) of each pair in the batch, and
-	// the pair's two extracted fields.
-	toruses, scratch []complex128
-	zq, z0, fa, fb   []float64
+	// Grid route: a batch of pair toruses, one Sobol point's normals, the
+	// raw (z0a, z0b) of each pair in the batch, and the pair's two
+	// extracted fields.
+	toruses        []complex128
+	zq, z0, fa, fb []float64
 }
 
 // warm allocates a worker's buffers for the runner's route.
@@ -236,9 +235,7 @@ func (b *trialBuf) warm(r *trialRunner) {
 		b.z = make([]float64, len(b.ls))
 		return
 	}
-	tm, tn := g.gs.TorusDims()
 	b.toruses = make([]complex128, g.batchPairs*g.gs.TorusLen())
-	b.scratch = make([]complex128, fft.Scratch2DLen(tm, tn))
 	b.zq = make([]float64, 2+2*len(g.modes))
 	b.z0 = make([]float64, 2*g.batchPairs)
 	b.fa = make([]float64, g.gs.Sites())

@@ -297,3 +297,66 @@ func TestDenseSourceRefusesTilt(t *testing.T) {
 		t.Errorf("θ = -2: error %v, want typed InvalidInput", err)
 	}
 }
+
+// TestGridRoutesWithoutWIDVariation: a process with die-to-die variation
+// only embeds on a 1×1 torus, smaller than the grid. Every grid route — the
+// fft route, the qmc grid route and the tail's grid proposal — must still
+// run, draw each trial's field constant over the die, and match the dense
+// route's moments.
+func TestGridRoutesWithoutWIDVariation(t *testing.T) {
+	old := autoDenseLimit
+	autoDenseLimit = 8 // route the qmc run to the grid body
+	defer func() { autoDenseLimit = old }()
+	lib, proc, nl, pl := testSetup(t, 100)
+	d2d := &spatial.Process{LNominal: proc.LNominal, SigmaD2D: proc.TotalSigma(), SigmaVt: proc.SigmaVt}
+	base := Config{Lib: lib, Proc: d2d, SignalProb: 0.5, Samples: 2000, Seed: 23, KeepTrials: true}
+
+	gs, err := randvar.NewGridSampler(d2d, pl.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates, err := buildGateStates(base, nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &trialRunner{gates: gates, grid: testGridBody(gs, pl.Site, nl.Name), bufs: make([]trialBuf, 1)}
+	if err := r.unit(0, 0, &pass{totals: make([]float64, 2)}); err != nil {
+		t.Fatalf("grid pair body: %v", err)
+	}
+	b := &r.bufs[0]
+	for i := range b.fa {
+		if b.fa[i] != b.fa[0] || b.fb[i] != b.fb[0] {
+			t.Fatalf("site %d: fields (%v, %v) differ from site 0 (%v, %v)", i, b.fa[i], b.fb[i], b.fa[0], b.fb[0])
+		}
+	}
+	if b.fa[0] == b.fb[0] {
+		t.Errorf("the pair's two fields are equal (%v): their D2D deviates must be independent", b.fa[0])
+	}
+
+	dcfg := base
+	dcfg.Sampler = SamplerDense
+	dense, err := Run(dcfg, nl, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := stats.Quantile(dense.Trials, 0.99)
+	for _, s := range []Sampler{SamplerFFT, SamplerQMC} {
+		cfg := base
+		cfg.Sampler = s
+		res, err := Run(cfg, nl, pl)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		checkMomentsMatchDense(t, s.String(), res, dense)
+	}
+	cfg := base
+	cfg.Sampler = SamplerFFT
+	cfg.Tail = baseTailConfig(spec, 1000)
+	res, err := Run(cfg, nl, pl)
+	if err != nil {
+		t.Fatalf("tail: %v", err)
+	}
+	if ts := res.Tail; ts.Source != TailSourceIS {
+		t.Errorf("tail source %q (degraded=%v, %s), want %q", ts.Source, ts.Degraded, ts.DegradedReason, TailSourceIS)
+	}
+}

@@ -16,7 +16,8 @@ import (
 // pair p yields trials 2p and 2p+1 (an odd trial count drops the last
 // pair's second field). Pair toruses are batched batchPairs at a time
 // through one fft.Transform2DBatchInto pass, whose per-member butterflies
-// are bitwise those of the unbatched transform.
+// are bitwise those of the unbatched transform; its column pass stops at
+// the grid's columns, the only ones ExtractPair reads.
 //
 // The deviate source is the only difference between the routes. Each pair
 // seeds the worker RNG from its pair stream and draws its white-noise
@@ -30,7 +31,7 @@ import (
 // DefaultBatch caps the default number of trial fields per batched FFT pass
 // (DefaultBatch/2 pair toruses; see batchPairs). Eight 32×32 toruses are
 // ≈128 KiB of complex spectrum — comfortably cache-resident per worker while
-// still amortizing the column-block twiddle walk.
+// still amortizing the per-pass work of a small transform.
 const DefaultBatch = 8
 
 // gridBatchBytes is the per-worker torus budget of the default pair batch:
@@ -110,8 +111,11 @@ func (g *gridBody) batch(r *trialRunner, b *trialBuf, bi int, p *pass) error {
 		}
 		b.z0[2*j], b.z0[2*j+1] = za, zb
 	}
+	// The column pass keeps the grid's columns. A process without WID
+	// variation embeds on a 1×1 torus narrower than the grid, whose one
+	// column ExtractPair ignores.
 	tm, tn := g.gs.TorusDims()
-	if err := fft.Transform2DBatchInto(b.toruses[:np*tlen], np, tm, tn, true, b.scratch); err != nil {
+	if err := fft.Transform2DBatchInto(b.toruses[:np*tlen], np, tm, tn, min(g.gs.Grid().Cols, tn), true); err != nil {
 		return err
 	}
 	for j := 0; j < np; j++ {

@@ -79,28 +79,30 @@ func TestQMCMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkQMCMoments(t, path, qmc, dense)
+			checkMomentsMatchDense(t, path+"-qmc", qmc, dense)
 			continue
 		}
 		qmc, err := Run(qcfg, nl, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkQMCMoments(t, path, qmc, dense)
+		checkMomentsMatchDense(t, path+"-qmc", qmc, dense)
 	}
 }
 
-func checkQMCMoments(t *testing.T, path string, qmc, dense Result) {
+// checkMomentsMatchDense checks that route's mean and σ agree with the
+// dense referee's within z·(combined standard error).
+func checkMomentsMatchDense(t *testing.T, route string, got, dense Result) {
 	t.Helper()
-	t.Logf("%s-qmc: µ=%.5g σ=%.5g | dense: µ=%.5g σ=%.5g", path, qmc.Mean, qmc.Std, dense.Mean, dense.Std)
+	t.Logf("%s: µ=%.5g σ=%.5g | dense: µ=%.5g σ=%.5g", route, got.Mean, got.Std, dense.Mean, dense.Std)
 	const z = 5
-	meanTol := z * math.Hypot(dense.MeanSE(), qmc.MeanSE())
-	if d := math.Abs(qmc.Mean - dense.Mean); d > meanTol {
-		t.Errorf("%s-qmc mean %.6g vs dense %.6g: |Δ| = %.3g > %.3g", path, qmc.Mean, dense.Mean, d, meanTol)
+	meanTol := z * math.Hypot(dense.MeanSE(), got.MeanSE())
+	if d := math.Abs(got.Mean - dense.Mean); d > meanTol {
+		t.Errorf("%s mean %.6g vs dense %.6g: |Δ| = %.3g > %.3g", route, got.Mean, dense.Mean, d, meanTol)
 	}
-	stdTol := z * math.Hypot(dense.StdSE(), qmc.StdSE())
-	if d := math.Abs(qmc.Std - dense.Std); d > stdTol {
-		t.Errorf("%s-qmc σ %.6g vs dense %.6g: |Δ| = %.3g > %.3g", path, qmc.Std, dense.Std, d, stdTol)
+	stdTol := z * math.Hypot(dense.StdSE(), got.StdSE())
+	if d := math.Abs(got.Std - dense.Std); d > stdTol {
+		t.Errorf("%s σ %.6g vs dense %.6g: |Δ| = %.3g > %.3g", route, got.Std, dense.Std, d, stdTol)
 	}
 }
 

@@ -47,10 +47,11 @@ func (p *lagPlan) wantTotal(a, b int) int64 {
 
 // fftCost estimates the FFT producer's work for t types in direct pair
 // increments: per packed job, one forward and one inverse transform pruned
-// as in transform, at one increment per point and radix-2 stage. On a
-// 2-core x86-64 VM (go1.24) that unit measured 1.0–1.2 increments; with 8
-// types on a square random placement the FFT producer takes over near
-// 7 600 gates, where the torus is 256².
+// as in transform, at 0.6 increments per point and radix-2 stage. On a
+// 2-core x86-64 VM (go1.24) one point-stage measured 0.55–0.7 increments
+// over the Fig. 6 sizes and the ISCAS designs; with 8 types on a square
+// random placement the FFT producer takes over near 6 000 gates, where the
+// torus is 256².
 func (p *lagPlan) fftCost(t int) float64 {
 	jobs := 0
 	for a := 0; a < t; a++ {
@@ -58,7 +59,7 @@ func (p *lagPlan) fftCost(t int) float64 {
 	}
 	rowPass := float64(p.rows+p.tr) * float64(p.tc) * math.Log2(float64(p.tc))
 	colPass := float64(p.tc+2*p.cols-1) * float64(p.tr) * math.Log2(float64(p.tr))
-	return float64(jobs) * (rowPass + colPass)
+	return 0.6 * float64(jobs) * (rowPass + colPass)
 }
 
 // lagEmit receives output lag row dr of type pair (a, b ≥ a): counts[dc]
@@ -66,11 +67,38 @@ func (p *lagPlan) fftCost(t int) float64 {
 // as in wantTotal. The slice is reused after emit returns.
 type lagEmit func(b, dr int, counts []int64) error
 
+// clearStack zeroes the 8 KiB of stack below the caller's frame, where a
+// lag-count task's frames go, before the task runs. Goroutine stacks are
+// reused, so that memory can still hold an earlier exact-truth call's
+// frames, with pointers to its torus buffers. When the collector preempts
+// a task inside a kernel loop it scans that frame conservatively, and a
+// stale slot keeps the finished call's 1 MiB torus (at 256²) alive for
+// another cycle. On leakbench truth-placed (2-core VM) the peak live heap
+// read one torus higher in over half the runs without this (none with
+// asynchronous preemption off), and at its usual level in every run with
+// it. No unit test reproduces the retention: it needs the collector to
+// preempt a task exactly where a stale slot lies.
+//
+// The size: a task's deepest chain, fftRow → transform →
+// fft.TransformColumns → columnPass → fusedLanes, takes under 2 KiB of
+// frames on amd64 (go build -gcflags=-S); 8 KiB also covers the registers
+// an asynchronous preemption saves below the interrupted frame. The cost
+// is one stack growth per worker per call and an 8 KiB clear per task,
+// nothing next to a lag row.
+//
+//go:noinline
+func clearStack() {
+	var pad [8 << 10]byte
+	keepStack(pad[:])
+}
+
+//go:noinline
+func keepStack([]byte) {}
+
 // lagWorker is one worker's scratch, allocated on first use.
 type lagWorker struct {
 	counts    []int64      // direct: one type pair's class counts
 	tor, half []complex128 // fft: the torus and F_a's half-plane spectrum
-	col       []complex128 // fft: one gathered block of torus columns
 	row       []int64      // fft: one folded output row
 }
 
@@ -127,7 +155,6 @@ func (w *lagWorker) fftRow(p *lagPlan, a, types int, emit lagEmit) error {
 	if w.tor == nil {
 		w.tor = make([]complex128, p.tr*p.tc)
 		w.half = make([]complex128, p.tr*(p.tc/2+1))
-		w.col = make([]complex128, p.tr*colBlock)
 		w.row = make([]int64, p.cols)
 	}
 	for b := a; b < types; b += 2 {
@@ -185,10 +212,6 @@ func (w *lagWorker) load(p *lagPlan, b, parts int) {
 	}
 }
 
-// colBlock is the number of adjacent torus columns gathered per column
-// pass, so the strided reads touch whole cache lines.
-const colBlock = 16
-
 // transform is the unnormalized 2-D DFT of the torus, pruned: the forward
 // row pass skips rows ≥ rows, which the images leave zero, and the inverse
 // column pass covers only the columns foldRow reads, [0, cols) and
@@ -205,23 +228,8 @@ func (w *lagWorker) transform(p *lagPlan, inverse bool) error {
 		}
 	}
 	for _, s := range spans {
-		for c0 := s[0]; c0 < s[1]; c0 += colBlock {
-			bc := min(colBlock, s[1]-c0)
-			for r := 0; r < m; r++ {
-				for j, v := range w.tor[r*n+c0 : r*n+c0+bc] {
-					w.col[j*m+r] = v
-				}
-			}
-			for j := 0; j < bc; j++ {
-				if err := fft.Transform(w.col[j*m:(j+1)*m], inverse); err != nil {
-					return err
-				}
-			}
-			for r := 0; r < m; r++ {
-				for j := 0; j < bc; j++ {
-					w.tor[r*n+c0+j] = w.col[j*m+r]
-				}
-			}
+		if err := fft.TransformColumns(w.tor, 1, m, n, s[0], s[1], inverse); err != nil {
+			return err
 		}
 	}
 	return nil

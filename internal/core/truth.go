@@ -119,6 +119,7 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 	}
 	workers := make([]lagWorker, parallel.Resolve(m.Workers, nt))
 	err := parallel.ForEach(ctx, op, m.Workers, nt, func(w, a int) error {
+		clearStack()
 		emit := func(b, dr int, counts []int64) error {
 			fault.Hit(fault.SiteTruthRow)
 			if err := lkerr.FromContext(ctx, op); err != nil {

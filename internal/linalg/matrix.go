@@ -202,6 +202,12 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix not positive definite")
 // It returns ErrNotPositiveDefinite if a pivot is non-positive, and a typed
 // Numerical error if the finished factor contains NaN or Inf (e.g. from a
 // corrupted input off the pivot path).
+//
+// Column j is L_ij = (a_ij − Σ_{k<j} L_ik·L_jk)/L_jj, each sum accumulated
+// in k order. Rows below the pivot are computed four at a time, one
+// accumulator per row, so four independent dependency chains share each
+// load of L_jk; every element sees the same operations in the same order
+// as the row-at-a-time loop, so the factor is bitwise unchanged.
 func Cholesky(a *Matrix) (*Matrix, error) {
 	defer telemetry.TimeStage("linalg.cholesky")()
 	fault.Hit(fault.SiteCholesky)
@@ -211,10 +217,10 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	n := a.rows
 	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		lj := l.Row(j)
-		for k := 0; k < j; k++ {
-			d -= lj[k] * lj[k]
+		d := a.data[j*n+j]
+		lj := l.data[j*n : j*n+j]
+		for _, v := range lj {
+			d -= v * v
 		}
 		if j == 0 {
 			d = fault.Corrupt(fault.SiteCholesky, d)
@@ -223,14 +229,28 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			return nil, fmt.Errorf("%w (pivot %d: %g)", ErrNotPositiveDefinite, j, d)
 		}
 		dj := math.Sqrt(d)
-		l.Set(j, j, dj)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			li := l.Row(i)
-			for k := 0; k < j; k++ {
-				s -= li[k] * lj[k]
+		l.data[j*n+j] = dj
+		i := j + 1
+		for ; i+3 < n; i += 4 {
+			l0 := l.data[i*n : i*n+j][:len(lj)]
+			l1 := l.data[(i+1)*n : (i+1)*n+j][:len(l0)]
+			l2 := l.data[(i+2)*n : (i+2)*n+j][:len(l0)]
+			l3 := l.data[(i+3)*n : (i+3)*n+j][:len(l0)]
+			s0, s1, s2, s3 := a.data[i*n+j], a.data[(i+1)*n+j], a.data[(i+2)*n+j], a.data[(i+3)*n+j]
+			for k, v := range lj {
+				s0 -= l0[k] * v
+				s1 -= l1[k] * v
+				s2 -= l2[k] * v
+				s3 -= l3[k] * v
 			}
-			l.Set(i, j, s/dj)
+			l.data[i*n+j], l.data[(i+1)*n+j], l.data[(i+2)*n+j], l.data[(i+3)*n+j] = s0/dj, s1/dj, s2/dj, s3/dj
+		}
+		for ; i < n; i++ {
+			s := a.data[i*n+j]
+			for k, v := range l.data[i*n : i*n+j] {
+				s -= v * lj[k]
+			}
+			l.data[i*n+j] = s / dj
 		}
 	}
 	if err := l.CheckFinite("linalg.Cholesky"); err != nil {

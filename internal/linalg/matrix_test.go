@@ -290,3 +290,60 @@ func TestPolyFitErrors(t *testing.T) {
 		t.Errorf("expected too-few-points error")
 	}
 }
+
+// refCholesky is the row-at-a-time loop Cholesky replaced: the bitwise
+// reference for the four-row kernel.
+func refCholesky(a *Matrix) *Matrix {
+	n := a.rows
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j)
+		lj := l.Row(j)
+		for k := 0; k < j; k++ {
+			d -= lj[k] * lj[k]
+		}
+		dj := math.Sqrt(d)
+		l.Set(j, j, dj)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			li := l.Row(i)
+			for k := 0; k < j; k++ {
+				s -= li[k] * lj[k]
+			}
+			l.Set(i, j, s/dj)
+		}
+	}
+	return l
+}
+
+// TestCholeskyBitwise pins the four-row Cholesky bitwise to the
+// row-at-a-time loop at sizes covering every n mod 4, so the remainder rows
+// below each pivot take every path.
+func TestCholeskyBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 17, 64, 131} {
+		a := randomSPD(rng, n)
+		got, err := Cholesky(a)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want := refCholesky(a)
+		for i, v := range want.data {
+			if math.Float64bits(got.data[i]) != math.Float64bits(v) {
+				t.Fatalf("n=%d: L(%d,%d) = %v, reference %v", n, i/n, i%n, got.data[i], v)
+			}
+		}
+	}
+}
+
+// BenchmarkCholesky factors a 1024×1024 SPD matrix, the dense field's
+// covariance size at 1 024 gates.
+func BenchmarkCholesky(b *testing.B) {
+	a := randomSPD(rand.New(rand.NewSource(1)), 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Cholesky(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -71,7 +71,6 @@ func TestPairRealChannelMatchesSampleInto(t *testing.T) {
 	fb := make([]float64, sites)
 	torus := make([]complex128, s.TorusLen())
 	tm, tn := s.TorusDims()
-	scratch := make([]complex128, fft.Scratch2DLen(tm, tn))
 	for seed := int64(1); seed <= 5; seed++ {
 		rngA := stats.NewRNG(seed, "pair-ref")
 		if err := s.SampleInto(rngA, sc, ref); err != nil {
@@ -80,7 +79,7 @@ func TestPairRealChannelMatchesSampleInto(t *testing.T) {
 		rngB := stats.NewRNG(seed, "pair-ref")
 		z0 := rngB.NormFloat64()
 		s.FillPairSpectrum(rngB, torus)
-		if err := fft.Transform2DInto(torus, tm, tn, true, scratch); err != nil {
+		if err := fft.Transform2D(torus, tm, tn, true); err != nil {
 			t.Fatal(err)
 		}
 		s.ExtractPair(torus, z0, -z0, 0, fa, fb)
@@ -105,7 +104,6 @@ func TestPairImagChannelLaw(t *testing.T) {
 	const pairs = 6000
 	torus := make([]complex128, s.TorusLen())
 	tm, tn := s.TorusDims()
-	scratch := make([]complex128, fft.Scratch2DLen(tm, tn))
 	sites := s.Grid().Sites()
 	fa := make([]float64, sites)
 	fb := make([]float64, sites)
@@ -117,7 +115,7 @@ func TestPairImagChannelLaw(t *testing.T) {
 	b1 := make([]float64, pairs)
 	for p := 0; p < pairs; p++ {
 		s.FillPairSpectrum(rng, torus)
-		if err := fft.Transform2DInto(torus, tm, tn, true, scratch); err != nil {
+		if err := fft.Transform2D(torus, tm, tn, true); err != nil {
 			t.Fatal(err)
 		}
 		s.ExtractPair(torus, rng.NormFloat64(), rng.NormFloat64(), 0, fa, fb)
@@ -234,7 +232,7 @@ func TestSamplePartialInto(t *testing.T) {
 // unbatched one: for arbitrary small grids (odd and even, non-square) and
 // batch sizes, filling the same pair spectra and transforming them through
 // one Transform2DBatchInto pass must reproduce the per-pair
-// Transform2DInto fields bitwise, with every site finite.
+// Transform2D fields bitwise, with every site finite.
 func FuzzBatchedDraw(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(3), int64(1))
 	f.Add(uint8(1), uint8(7), uint8(1), int64(9))
@@ -247,7 +245,6 @@ func FuzzBatchedDraw(f *testing.F) {
 		tm, tn := s.TorusDims()
 		tlen := s.TorusLen()
 		sites := s.Grid().Sites()
-		scratch := make([]complex128, fft.Scratch2DLen(tm, tn))
 		batched := make([]complex128, batchPairs*tlen)
 		single := make([]complex128, tlen)
 		stream := stats.NewStream(seed, "fuzz-batch#")
@@ -263,7 +260,7 @@ func FuzzBatchedDraw(f *testing.F) {
 		for p := 0; p < batchPairs; p++ {
 			fill(p, batched[p*tlen:(p+1)*tlen])
 		}
-		if err := fft.Transform2DBatchInto(batched, batchPairs, tm, tn, true, scratch); err != nil {
+		if err := fft.Transform2DBatchInto(batched, batchPairs, tm, tn, tn, true); err != nil {
 			t.Fatal(err)
 		}
 		fa := make([]float64, sites)
@@ -272,7 +269,7 @@ func FuzzBatchedDraw(f *testing.F) {
 		rb := make([]float64, sites)
 		for p := 0; p < batchPairs; p++ {
 			fill(p, single)
-			if err := fft.Transform2DInto(single, tm, tn, true, scratch); err != nil {
+			if err := fft.Transform2D(single, tm, tn, true); err != nil {
 				t.Fatal(err)
 			}
 			s.ExtractPair(single, z0[2*p], z0[2*p+1], 0, ra, rb)

@@ -206,17 +206,8 @@ func embedSpectrum(corr spatial.CorrFunc, grid placement.Grid, vw float64, tm, t
 			return nil, 0, err
 		}
 	}
-	col := make([]complex128, tm)
-	for q := 0; q < tn; q++ {
-		for p := 0; p < tm; p++ {
-			col[p] = spec[p*tn+q]
-		}
-		if err := fft.Transform(col, false); err != nil {
-			return nil, 0, err
-		}
-		for p := 0; p < tm; p++ {
-			spec[p*tn+q] = col[p]
-		}
+	if err := fft.TransformColumns(spec, 1, tm, tn, 0, tn, false); err != nil {
+		return nil, 0, err
 	}
 	maxEig, minEig, maxImag := 0.0, math.Inf(1), 0.0
 	posSum, negSum := 0.0, 0.0
@@ -290,7 +281,6 @@ func (s *GridSampler) ClampBias() float64 { return s.clampBias }
 // sampler. Each concurrent worker owns one.
 type GridScratch struct {
 	torus []complex128
-	fft   []complex128
 }
 
 // NewScratch allocates a scratch buffer set matching the sampler's torus.
@@ -298,20 +288,18 @@ func (s *GridSampler) NewScratch() *GridScratch {
 	if s.scale == nil {
 		return &GridScratch{}
 	}
-	return &GridScratch{
-		torus: make([]complex128, s.tm*s.tn),
-		fft:   make([]complex128, fft.Scratch2DLen(s.tm, s.tn)),
-	}
+	return &GridScratch{torus: make([]complex128, s.tm*s.tn)}
 }
 
 // SampleInto fills field (length Sites, indexed by row-major site index) with
 // one draw of the channel-length field. The draw consumes 1 + 2·tm·tn
 // normals from rng in a fixed order — the shared D2D deviate first, then the
 // white-noise spectrum — so a per-trial PRNG stream yields identical fields
-// at any worker count. Only the real part of the inverse transform is kept;
-// the Monte Carlo draws its trial fields in pairs instead (DrawPair,
-// ExtractPair). It allocates nothing: all intermediate state lives in sc,
-// which must come from NewScratch on this sampler.
+// at any worker count. The inverse transform's column pass stops at the
+// grid's columns, and only the real part is kept; the Monte Carlo draws its
+// trial fields in pairs instead (DrawPair, ExtractPair). It allocates
+// nothing: all intermediate state lives in sc, which must come from
+// NewScratch on this sampler.
 func (s *GridSampler) SampleInto(rng *rand.Rand, sc *GridScratch, field []float64) error {
 	g := s.grid
 	if len(field) != g.Sites() {
@@ -332,7 +320,7 @@ func (s *GridSampler) SampleInto(rng *rand.Rand, sc *GridScratch, field []float6
 	for k, a := range s.scale {
 		torus[k] = complex(a*rng.NormFloat64(), a*rng.NormFloat64())
 	}
-	if err := fft.Transform2DInto(torus, s.tm, s.tn, true, sc.fft); err != nil {
+	if err := fft.Transform2DBatchInto(torus, 1, s.tm, s.tn, g.Cols, true); err != nil {
 		return err
 	}
 	for r := 0; r < g.Rows; r++ {

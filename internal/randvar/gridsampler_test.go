@@ -287,7 +287,7 @@ func TestGridSamplerTiltedDraw(t *testing.T) {
 		t.Fatalf("DrawPair returned deviates (%v, %v), want the stream's raw (%v, %v)", z0a, z0b, wa, wb)
 	}
 	tm, tn := s.TorusDims()
-	if err := fft.Transform2DInto(torus, tm, tn, true, make([]complex128, fft.Scratch2DLen(tm, tn))); err != nil {
+	if err := fft.Transform2D(torus, tm, tn, true); err != nil {
 		t.Fatal(err)
 	}
 	sites := s.Sites()

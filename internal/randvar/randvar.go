@@ -223,14 +223,7 @@ func (s *MVNSampler) SampleInto(rng *rand.Rand, z, out []float64) {
 	for i := range z {
 		z[i] = rng.NormFloat64()
 	}
-	for i := 0; i < n; i++ {
-		row := s.l.Row(i)
-		acc := s.mean[i]
-		for j := 0; j <= i; j++ {
-			acc += row[j] * z[j]
-		}
-		out[i] = acc
-	}
+	s.mulInto(z, out)
 }
 
 // SamplePartialInto is SampleInto except the leading fixed entries of z are
@@ -253,11 +246,43 @@ func (s *MVNSampler) SamplePartialInto(rng *rand.Rand, z, out []float64, fixed i
 	for i := fixed; i < n; i++ {
 		z[i] = rng.NormFloat64()
 	}
-	for i := 0; i < n; i++ {
-		row := s.l.Row(i)
+	s.mulInto(z, out)
+}
+
+// mulInto writes out = mean + L·z. Each out[i] is accumulated from mean[i]
+// through Σ_{j≤i} L_ij·z_j in j order; rows run four at a time, one
+// accumulator each, so four independent dependency chains share each load
+// of z_j, and every row's sum is bitwise the row-at-a-time one.
+func (s *MVNSampler) mulInto(z, out []float64) {
+	n := len(s.mean)
+	i := 0
+	for ; i+3 < n; i += 4 {
+		r0 := s.l.Row(i)[:i+1]
+		r1 := s.l.Row(i + 1)[:i+2]
+		r2 := s.l.Row(i + 2)[:i+3]
+		r3 := s.l.Row(i + 3)[:i+4]
+		zi := z[:len(r0)]
+		r1h, r2h, r3h := r1[:len(zi)], r2[:len(zi)], r3[:len(zi)]
+		a0, a1, a2, a3 := s.mean[i], s.mean[i+1], s.mean[i+2], s.mean[i+3]
+		for j, v := range zi {
+			a0 += r0[j] * v
+			a1 += r1h[j] * v
+			a2 += r2h[j] * v
+			a3 += r3h[j] * v
+		}
+		// The three rows longer than r0 finish their sums in j order.
+		a1 += r1[i+1] * z[i+1]
+		a2 += r2[i+1] * z[i+1]
+		a2 += r2[i+2] * z[i+2]
+		a3 += r3[i+1] * z[i+1]
+		a3 += r3[i+2] * z[i+2]
+		a3 += r3[i+3] * z[i+3]
+		out[i], out[i+1], out[i+2], out[i+3] = a0, a1, a2, a3
+	}
+	for ; i < n; i++ {
 		acc := s.mean[i]
-		for j := 0; j <= i; j++ {
-			acc += row[j] * z[j]
+		for j, v := range s.l.Row(i)[:i+1] {
+			acc += v * z[j]
 		}
 		out[i] = acc
 	}

@@ -2,6 +2,7 @@ package randvar
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -305,5 +306,79 @@ func TestBivariateNormal(t *testing.T) {
 	}
 	if r := stats.Correlation(xs, ys); math.Abs(r-rho) > 0.02 {
 		t.Errorf("correlation = %g, want %g", r, rho)
+	}
+}
+
+// refMulInto is the row-at-a-time mean + L·z loop mulInto replaced: the
+// bitwise reference for the four-row kernel.
+func refMulInto(s *MVNSampler, z, out []float64) {
+	for i := range out {
+		row := s.l.Row(i)
+		acc := s.mean[i]
+		for j := 0; j <= i; j++ {
+			acc += row[j] * z[j]
+		}
+		out[i] = acc
+	}
+}
+
+// mvnFixture is an n-dimensional sampler over an exponentially correlated
+// covariance with a shared component, like the dense Monte-Carlo field.
+func mvnFixture(t testing.TB, n int) *MVNSampler {
+	cov := linalg.NewMatrix(n, n)
+	mean := make([]float64, n)
+	for i := 0; i < n; i++ {
+		mean[i] = 0.09 + 1e-4*float64(i%7)
+		for j := 0; j < n; j++ {
+			cov.Set(i, j, 1e-6+4e-6*math.Exp(-math.Abs(float64(i-j))/9))
+		}
+	}
+	s, err := NewMVNSampler(mean, cov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestMVNSampleBitwise pins SampleInto and SamplePartialInto bitwise to
+// the row-at-a-time product, at dimensions covering every n mod 4 and with
+// 0, 1 and 5 caller-fixed deviates.
+func TestMVNSampleBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 9, 33, 130} {
+		s := mvnFixture(t, n)
+		z, got, want := make([]float64, n), make([]float64, n), make([]float64, n)
+		check := func(what string) {
+			t.Helper()
+			refMulInto(s, z, want)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d %s: out[%d] = %v, reference %v", n, what, i, got[i], want[i])
+				}
+			}
+		}
+		s.SampleInto(stats.NewRNG(int64(n), "mvn-bitwise"), z, got)
+		check("SampleInto")
+		for _, fixed := range []int{0, 1, 5} {
+			if fixed > n {
+				continue
+			}
+			for i := 0; i < fixed; i++ {
+				z[i] = 0.5 - float64(i)
+			}
+			s.SamplePartialInto(stats.NewRNG(int64(n), "mvn-bitwise"), z, got, fixed)
+			check(fmt.Sprintf("SamplePartialInto fixed=%d", fixed))
+		}
+	}
+}
+
+// BenchmarkMVNSampleInto draws one 1024-dimensional dense field, the
+// per-trial cost of the dense Monte-Carlo route at 1 024 gates.
+func BenchmarkMVNSampleInto(b *testing.B) {
+	s := mvnFixture(b, 1024)
+	rng := stats.NewRNG(1, "mvn-bench")
+	z, out := make([]float64, 1024), make([]float64, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SampleInto(rng, z, out)
 	}
 }
